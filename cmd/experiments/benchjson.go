@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -81,9 +82,10 @@ type BenchReport struct {
 	FleetCellsPerSec float64 `json:"fleet_cells_per_sec,omitempty"`
 	// TelemetryOverheadPct is the block-datapath throughput cost of running
 	// with the live recorder attached and the fleet plane snapshotting in
-	// the background, relative to a bare core. bench-diff gates the fresh
-	// value at 3% in full mode. Zero means the cost was below the run's
-	// measurement noise.
+	// the background, relative to a bare core: the signed median over
+	// interleaved bare/instrumented windows, so a value at or below zero
+	// means the cost was within the run's measurement noise. bench-diff
+	// gates the fresh value at 3% in full mode.
 	TelemetryOverheadPct float64 `json:"telemetry_overhead_pct"`
 
 	// Experiments lists wall-clock per experiment at the report's budgets.
@@ -293,15 +295,16 @@ func fleetSection(rep *BenchReport, window time.Duration) error {
 
 	// Overhead: the same block workload on a bare core and on one with the
 	// live recorder attached, bound to a fleet cell, with the aggregation
-	// loop snapshotting concurrently — the full observability tax.
+	// loop snapshotting concurrently — the full observability tax. The two
+	// run in overheadPairs interleaved windows, alternating which goes
+	// first, so drift in the host's speed hits both sides alike; the report
+	// keeps the signed median of the per-pair costs.
 	buf := benchInput()
 	tx := make([]complex128, len(buf))
 	bare, err := benchCore()
 	if err != nil {
 		return err
 	}
-	bareMsps := measureThroughput(len(buf), window, func() { bare.ProcessBlock(buf, tx) })
-
 	inst, err := benchCore()
 	if err != nil {
 		return err
@@ -310,18 +313,33 @@ func fleetSection(rep *BenchReport, window time.Duration) error {
 	inst.SetRecorder(live)
 	agg := fleet.New(fleet.Options{})
 	agg.Cell("bench").BindLive(live)
-	agg.Start(50 * time.Millisecond)
-	instMsps := measureThroughput(len(buf), window, func() { inst.ProcessBlock(buf, tx) })
-	agg.Stop()
-	if bareMsps > 0 {
-		pct := (1 - instMsps/bareMsps) * 100
-		if pct < 0 {
-			pct = 0
-		}
-		rep.TelemetryOverheadPct = pct
+	sub := max(window/2, 20*time.Millisecond)
+	measureBare := func() float64 {
+		return measureThroughput(len(buf), sub, func() { bare.ProcessBlock(buf, tx) })
 	}
+	measureInst := func() float64 {
+		agg.Start(50 * time.Millisecond)
+		defer agg.Stop()
+		return measureThroughput(len(buf), sub, func() { inst.ProcessBlock(buf, tx) })
+	}
+	pcts := make([]float64, overheadPairs)
+	for i := range pcts {
+		var bareMsps, instMsps float64
+		if i%2 == 0 {
+			bareMsps, instMsps = measureBare(), measureInst()
+		} else {
+			instMsps, bareMsps = measureInst(), measureBare()
+		}
+		pcts[i] = (1 - instMsps/bareMsps) * 100
+	}
+	slices.Sort(pcts)
+	rep.TelemetryOverheadPct = pcts[len(pcts)/2]
 	return nil
 }
+
+// overheadPairs is the number of interleaved bare/instrumented windows the
+// telemetry overhead is the median of.
+const overheadPairs = 5
 
 func experimentSection(rep *BenchReport, frames, packets int) error {
 	timed := func(name string, f func() error) error {

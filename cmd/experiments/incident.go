@@ -64,15 +64,16 @@ func incidentRun(quiet bool) (*flight.Dump, error) {
 	scale := complex(amp/math.Sqrt(frame.Power()), 0)
 	noise := dsp.NewNoiseSource(incidentFloor, incidentSeed+77)
 	const lead, tail = 512, 1536
+	var buf, tx dsp.Samples
 	for f := 0; f < incidentFrames; f++ {
-		buf := make(dsp.Samples, lead+len(frame)+tail)
-		copy(buf[lead:], frame)
+		buf = dsp.PadInto(buf, frame, lead, tail)
 		for i := range buf {
 			buf[i] = buf[i]*scale + noise.Sample()
 		}
 		r.MarkFrame(lead)
 		fr.RecordIQ(buf)
-		if _, err := r.Process(buf); err != nil {
+		var err error
+		if tx, err = r.ProcessAppend(tx[:0], buf); err != nil {
 			return nil, err
 		}
 	}

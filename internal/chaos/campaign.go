@@ -210,6 +210,7 @@ func Run(cfg Config) (*Result, error) {
 	pclock := pc.Clock()
 
 	var txMM, xcMM, samples uint64
+	var txP dsp.Samples
 	packets := make([]verdict.Packet, 0, cfg.Frames)
 	for f := 0; f < cfg.Frames; f++ {
 		inj.block = f
@@ -261,8 +262,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		start := pclock.Cycle()
-		txP, err := r.Process(buf)
-		if err != nil {
+		var err error
+		if txP, err = r.ProcessAppend(txP[:0], buf); err != nil {
 			return nil, err
 		}
 		packets = append(packets, verdict.Packet{Index: f, Start: start, End: pclock.Cycle()})

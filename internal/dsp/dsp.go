@@ -11,6 +11,7 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Samples is a complex baseband I/Q sample buffer.
@@ -65,6 +66,29 @@ func (s Samples) Add(other Samples) Samples {
 		s[i] += other[i]
 	}
 	return s
+}
+
+// AddScaled accumulates other scaled by the real gain g into s
+// element-wise and returns s; the shorter length governs. It is
+// bit-identical to s.Add(other.Clone().Scale(g)) without the copy.
+func (s Samples) AddScaled(other Samples, g float64) Samples {
+	n := min(len(s), len(other))
+	for i := 0; i < n; i++ {
+		s[i] += complex128(other[i] * complex(g, 0))
+	}
+	return s
+}
+
+// PadInto returns dst resized to lead+len(x)+tail samples holding x
+// between lead and tail zeros, reusing dst's storage when it is large
+// enough.
+func PadInto(dst, x Samples, lead, tail int) Samples {
+	n := lead + len(x) + tail
+	dst = slices.Grow(dst[:0], n)[:n]
+	clear(dst[:lead])
+	copy(dst[lead:], x)
+	clear(dst[lead+len(x):])
+	return dst
 }
 
 // PeakAmplitude returns max |x| over the buffer.

@@ -189,3 +189,46 @@ func TestPeakAmplitude(t *testing.T) {
 		t.Errorf("PeakAmplitude = %v, want 5", p)
 	}
 }
+
+func TestAddScaledMatchesAddOfScaledClone(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, n := range []int{0, 1, 17, 300} {
+		s := make(Samples, n)
+		other := make(Samples, n+3)
+		for i := range s {
+			s[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		for i := range other {
+			other[i] = complex(rng.NormFloat64(), math.Copysign(0, -1))
+		}
+		want := s.Clone().Add(other.Clone().Scale(0.37))
+		got := s.Clone().AddScaled(other, 0.37)
+		for i := range want {
+			if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+				math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+				t.Fatalf("n=%d: [%d] = %v, want %v", n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestPadIntoReusesAndClears(t *testing.T) {
+	x := Samples{1, 2, 3}
+	dst := Samples{9, 9, 9, 9, 9, 9, 9, 9, 9}
+	got := PadInto(dst[:2], x, 2, 3)
+	want := Samples{0, 0, 1, 2, 3, 0, 0, 0}
+	if len(got) != len(want) {
+		t.Fatalf("len %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+	if &got[0] != &dst[0] {
+		t.Error("PadInto reallocated a buffer with enough capacity")
+	}
+	if grown := PadInto(nil, x, 1, 0); len(grown) != 4 || grown[0] != 0 || grown[3] != 3 {
+		t.Errorf("PadInto(nil) = %v", grown)
+	}
+}

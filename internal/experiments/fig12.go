@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"repro/internal/channel"
-
 	"repro/internal/core"
 	"repro/internal/dsp"
+	"repro/internal/fpga"
 	"repro/internal/host"
 	"repro/internal/jammer"
 	"repro/internal/radio"
@@ -105,7 +105,10 @@ func Fig12WiMAX(frames int, seed int64) (*Fig12Result, error) {
 	cfg := wimax.Config{CellID: 1, Segment: 0}
 	res := &Fig12Result{Frames: frames}
 
-	run := func(combined bool, jamGain float64) (int, dsp.Samples, error) {
+	// run streams the frames through one detector configuration. With
+	// keepTX the jammer output of every frame is appended to the returned
+	// capture; otherwise each frame's output overwrites the last.
+	run := func(combined bool, jamGain float64, keepTX bool) (int, dsp.Samples, error) {
 		r, err := wimaxDetector(cfg, combined, jamGain)
 		if err != nil {
 			return 0, nil, err
@@ -114,33 +117,33 @@ func Fig12WiMAX(frames int, seed int64) (*Fig12Result, error) {
 		noise := dsp.NewNoiseSource(noiseFloorPower, seed+1)
 		sigAmp := math.Sqrt(noiseFloorPower * dsp.FromDB(Fig12SNRdB))
 		detected := 0
-		var jamTX dsp.Samples
+		// Each frame's trailing silence is truncated to keep runs quick,
+		// keeping enough for the energy fall and detector re-arm.
+		const maxLen = 26*wimax.SymbolLen + 4096
+		var buf, jamTX dsp.Samples
+		if keepTX {
+			jamTX = make(dsp.Samples, 0, frames*(maxLen*fpga.SampleRateHz/wimax.ActualSampleRate+1))
+		}
 		for f := 0; f < frames; f++ {
 			frame, err := wimax.DownlinkFrame(cfg, 24, seed+int64(f))
 			if err != nil {
 				return 0, nil, err
 			}
 			// Clock drift: random source-side padding shifts the polyphase
-			// phase of the 125/57 resampler frame to frame.
+			// phase of the 125/56 resampler frame to frame.
 			pad := rng.Intn(wimax.SymbolLen)
-			buf := make(dsp.Samples, pad+len(frame))
-			copy(buf[pad:], frame)
-			// Truncate the trailing silence to keep runs quick; keep enough
-			// for the energy fall and detector re-arm.
-			burst := 26 * wimax.SymbolLen
-			if len(buf) > burst+4096 {
-				buf = buf[:burst+4096]
-			}
+			buf = dsp.PadInto(buf, frame[:min(len(frame), maxLen-pad)], pad, 0)
 			fading := channel.NewRayleighMultipath(rng, 3, 0.5)
-			buf = fading.Apply(buf)
-			buf.Scale(sigAmp / math.Sqrt(52.0/64))
-			noise.AddTo(buf)
+			rx := fading.Apply(buf)
+			rx.Scale(sigAmp / math.Sqrt(52.0/64))
+			noise.AddTo(rx)
 			stBefore := r.Core().Stats().JamTriggers
-			tx, err := r.Process(buf)
-			if err != nil {
+			if !keepTX {
+				jamTX = jamTX[:0]
+			}
+			if jamTX, err = r.ProcessAppend(jamTX, rx); err != nil {
 				return 0, nil, err
 			}
-			jamTX = append(jamTX, tx...)
 			if r.Core().Stats().JamTriggers > stBefore {
 				detected++
 			}
@@ -149,14 +152,14 @@ func Fig12WiMAX(frames int, seed int64) (*Fig12Result, error) {
 	}
 
 	// Cross-correlator alone, jammer muted.
-	dx, _, err := run(false, 0.001)
+	dx, _, err := run(false, 0.001, false)
 	if err != nil {
 		return nil, err
 	}
 	res.XCorrOnlyPd = float64(dx) / float64(frames)
 
 	// Combined detection with active jamming for the scope capture.
-	dc, jamTX, err := run(true, 1)
+	dc, jamTX, err := run(true, 1, true)
 	if err != nil {
 		return nil, err
 	}

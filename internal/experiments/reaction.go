@@ -113,19 +113,19 @@ func MeasureReactionLatency(cfg ReactionConfig) (*ReactionResult, error) {
 	noise := dsp.NewNoiseSource(noiseFloorPower, cfg.Seed+77)
 	amp := math.Sqrt(noiseFloorPower * dsp.FromDB(cfg.SNRdB))
 	const lead = 512 // quiet samples before the frame (re-arms the detector)
+	var buf, tx dsp.Samples
 	for f := 0; f < cfg.Frames; f++ {
 		wave, err := frameWaveform(FullFrame, f, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		buf := make(dsp.Samples, lead+len(wave)+lead)
-		copy(buf[lead:], wave)
+		buf = dsp.PadInto(buf, wave, lead, lead)
 		scale := amp / math.Sqrt(wave.Power())
 		for i := range buf {
 			buf[i] = buf[i]*complex(scale, 0) + noise.Sample()
 		}
 		r.MarkFrame(lead)
-		if _, err := r.Process(buf); err != nil {
+		if tx, err = r.ProcessAppend(tx[:0], buf); err != nil {
 			return nil, err
 		}
 	}

@@ -181,19 +181,19 @@ func selectivityCell(tpl []complex128, thresholdFrac, energyDB float64, sig Stan
 	noise := dsp.NewNoiseSource(noiseFloorPower, seed+int64(sig)*37)
 	amp := math.Sqrt(noiseFloorPower * dsp.FromDB(snrDB))
 	hits := 0
+	var buf, tx dsp.Samples
 	for f := 0; f < frames; f++ {
 		wave, err := standardFrame(sig, f)
 		if err != nil {
 			return 0, err
 		}
-		buf := make(dsp.Samples, len(wave)+2*interFrameGap)
-		copy(buf[interFrameGap:], wave)
+		buf = dsp.PadInto(buf, wave, interFrameGap, interFrameGap)
 		scale := amp / math.Sqrt(wave.Power())
 		for i := range buf {
 			buf[i] = buf[i]*complex(scale, 0) + noise.Sample()
 		}
 		before := counter()
-		if _, err := r.Process(buf); err != nil {
+		if tx, err = r.ProcessAppend(tx[:0], buf); err != nil {
 			return 0, err
 		}
 		if counter() > before {

@@ -108,7 +108,7 @@ func RunVerdictLedger(cfg VerdictConfig) (*VerdictOutcome, error) {
 	r.Core().SetRecorder(faLive)
 	noise := dsp.NewNoiseSource(noiseFloorPower, d.Seed+9999)
 	faSamples := 2_000_000 * faCalibrationScale
-	if _, err := r.Process(noise.Block(faSamples)); err != nil {
+	if err := streamNoise(r, noise, faSamples); err != nil {
 		return nil, err
 	}
 	counterFA := count()
@@ -138,20 +138,20 @@ func RunVerdictLedger(cfg VerdictConfig) (*VerdictOutcome, error) {
 	framesDetected := 0
 	var detections uint64
 	packets := make([]verdict.Packet, 0, d.FramesPerPoint)
+	var buf, tx dsp.Samples
 	for f := 0; f < d.FramesPerPoint; f++ {
 		wave, err := frameWaveform(d.Kind, f, d.Seed)
 		if err != nil {
 			return nil, err
 		}
-		buf := make(dsp.Samples, len(wave)+2*interFrameGap)
-		copy(buf[interFrameGap:], wave)
+		buf = dsp.PadInto(buf, wave, interFrameGap, interFrameGap)
 		scale := amp / math.Sqrt(wave.Power())
 		for i := range buf {
 			buf[i] = front.ProcessSample(buf[i]*complex(scale, 0)) + pNoise.Sample()
 		}
 		before := count()
 		start := clock.Cycle()
-		if _, err := r.Process(buf); err != nil {
+		if tx, err = r.ProcessAppend(tx[:0], buf); err != nil {
 			return nil, err
 		}
 		packets = append(packets, verdict.Packet{Index: f, Start: start, End: clock.Cycle()})

@@ -245,7 +245,11 @@ func Demodulate(x dsp.Samples, searchFrom, searchTo int) (*RxResult, error) {
 	// descrambler via a dummy: the SYNC bits before SFD are discardable.
 	d.scr.Descramble(0)
 
-	// Hunt for the SFD in the descrambled DBPSK stream.
+	// Hunt for the SFD in the descrambled DBPSK stream. The window only
+	// holds 16 received bits from the 16th on: before that its high bits
+	// are the zeros it started with, and SFD's five low zeros would let a
+	// descrambler start-up transient that happens to spell its top 11 bits
+	// match a phantom SFD inside the SYNC field.
 	var window uint32
 	found := false
 	for i := 0; i < SyncBits+40; i++ {
@@ -254,7 +258,7 @@ func Demodulate(x dsp.Samples, searchFrom, searchTo int) (*RxResult, error) {
 			return nil, err
 		}
 		window = (window >> 1) | uint32(bits[0])<<15
-		if window == SFD {
+		if i >= 15 && window == SFD {
 			found = true
 			break
 		}

@@ -187,8 +187,34 @@ func TestLoopbackProperty(t *testing.T) {
 		}
 		return bytes.Equal(res.PSDU, psdu)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLoopbackAllScramblerSeeds runs the loopback at every scrambler seed
+// byte and every rate. Seeds 0x7D and 0xFD once failed every time: their
+// descrambler start-up transient spells the top 11 bits of the SFD, and the
+// SFD hunt matched it against a window still padded with its initial zeros.
+func TestLoopbackAllScramblerSeeds(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for seed := 0; seed < 256; seed++ {
+		for _, r := range allRates {
+			psdu := make([]byte, 8+seed%29)
+			rng.Read(psdu)
+			wave, err := Modulate(psdu, r, uint8(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Demodulate(wave, 0, 3*symbolSpan)
+			if err != nil {
+				t.Errorf("seed %#x %v: %v", seed, r, err)
+				continue
+			}
+			if !bytes.Equal(res.PSDU, psdu) {
+				t.Errorf("seed %#x %v: PSDU corrupted", seed, r)
+			}
+		}
 	}
 }
 
