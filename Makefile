@@ -15,7 +15,7 @@ endif
 ## build must not fetch dependencies).
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci build vet test race bench bench-smoke bench-json bench-diff bench-diff-smoke slo examples-smoke cover cover-baseline chaos staticcheck incident fleetobs fleetobs-smoke flowpipe flowpipe-smoke
+.PHONY: ci build vet test race bench bench-smoke bench-json bench-diff bench-diff-smoke slo examples-smoke cover cover-baseline chaos staticcheck incident fleetobs fleetobs-smoke flowpipe flowpipe-smoke loc
 
 ## ci: the full tier-1 verify path — vet, build, tests, then the race
 ## detector over every package (the register bus, clock and telemetry
@@ -160,3 +160,8 @@ cover-baseline:
 	$(GO) test -count=1 -coverprofile=coverage.out ./internal/...
 	@$(GO) tool cover -func=coverage.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }' > COVERAGE_BASELINE
 	@echo "cover-baseline: $$(cat COVERAGE_BASELINE)% recorded"
+
+## loc: production code size — non-blank, non-comment lines of the non-test
+## Go files outside the jambench module. Every change reports its delta.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './jambench/*' | xargs grep -hvE '^\s*(//|$$)' | wc -l

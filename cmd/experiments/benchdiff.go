@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -92,85 +93,10 @@ func runBenchDiff(baselinePath string, tolerant bool, frames, packets int) error
 	}
 
 	failures := 0
-	check := func(name string, baseV, freshV float64) {
-		if baseV <= 0 {
-			fmt.Printf("  skip %-22s baseline has no figure\n", name)
-			return
-		}
-		ratio := freshV / baseV
-		status := "ok  "
-		if ratio < mode.ratioFloor {
-			status = "FAIL"
+	for _, g := range benchGates(mode, &base, fresh) {
+		if g.eval(os.Stdout) {
 			failures++
 		}
-		fmt.Printf("  %s %-22s %8.2f -> %8.2f Msps  (%.2fx, floor %.2fx)\n",
-			status, name, baseV, freshV, ratio, mode.ratioFloor)
-	}
-	check("core_per_sample", base.ThroughputMsps.CorePerSample, fresh.ThroughputMsps.CorePerSample)
-	check("core_block", base.ThroughputMsps.CoreBlock, fresh.ThroughputMsps.CoreBlock)
-	check("core_block_parallel", base.ThroughputMsps.CoreBlockParallel, fresh.ThroughputMsps.CoreBlockParallel)
-	check("xcorr_packed", base.ThroughputMsps.XCorrPacked, fresh.ThroughputMsps.XCorrPacked)
-	check("xcorr_reference", base.ThroughputMsps.XCorrReference, fresh.ThroughputMsps.XCorrReference)
-	check("wifi_tx", base.ThroughputMsps.WiFiTx, fresh.ThroughputMsps.WiFiTx)
-	check("wifi_rx", base.ThroughputMsps.WiFiRx, fresh.ThroughputMsps.WiFiRx)
-	check("flow_sync", base.ThroughputMsps.FlowSync, fresh.ThroughputMsps.FlowSync)
-	check("flow_pipeline", base.ThroughputMsps.FlowPipeline, fresh.ThroughputMsps.FlowPipeline)
-
-	// Fleet drill rate against the baseline (skipped when the baseline
-	// predates the fleet plane). Cells/s is not Msps, but the same ratio
-	// floor catches the same order-of-magnitude regressions.
-	if base.FleetCellsPerSec > 0 {
-		ratio := fresh.FleetCellsPerSec / base.FleetCellsPerSec
-		status := "ok  "
-		if ratio < mode.ratioFloor {
-			status = "FAIL"
-			failures++
-		}
-		fmt.Printf("  %s %-22s %8.0f -> %8.0f cells/s  (%.2fx, floor %.2fx)\n",
-			status, "fleet_cells_per_sec", base.FleetCellsPerSec,
-			fresh.FleetCellsPerSec, ratio, mode.ratioFloor)
-	} else {
-		fmt.Printf("  skip %-22s baseline has no figure\n", "fleet_cells_per_sec")
-	}
-
-	// Telemetry overhead gate on the fresh measurement: observability that
-	// costs more than the ceiling is a regression regardless of baseline.
-	{
-		status := "ok  "
-		if fresh.TelemetryOverheadPct > mode.overheadCeil {
-			status = "FAIL"
-			failures++
-		}
-		fmt.Printf("  %s %-22s %.2f%% of block throughput  (ceiling %.0f%%)\n",
-			status, "telemetry_overhead_pct", fresh.TelemetryOverheadPct, mode.overheadCeil)
-	}
-
-	// Block-over-scalar gate on the fresh measurement: the block datapath
-	// losing to the scalar path is a regression regardless of the baseline.
-	if bos := fresh.ThroughputMsps.BlockOverScalar; bos > 0 {
-		status := "ok  "
-		if bos < mode.blockFloor {
-			status = "FAIL"
-			failures++
-		}
-		fmt.Printf("  %s %-22s block %.2f / scalar %.2f = %.2fx  (floor %.2fx)\n",
-			status, "block_over_scalar", fresh.ThroughputMsps.CoreBlock,
-			fresh.ThroughputMsps.CorePerSample, bos, mode.blockFloor)
-	}
-
-	// Pipeline-over-sync gate on the fresh measurement: the pipelined
-	// scheduler losing to the synchronous one (beyond the mode's floor) is
-	// a regression regardless of the baseline. RunFlowPipe already proved
-	// the two bit-identical before this ratio was measured.
-	if pos := fresh.ThroughputMsps.PipelineOverSync; pos > 0 {
-		status := "ok  "
-		if pos < mode.pipeFloor {
-			status = "FAIL"
-			failures++
-		}
-		fmt.Printf("  %s %-22s pipeline %.2f / sync %.2f = %.2fx  (floor %.2fx)\n",
-			status, "pipeline_over_sync", fresh.ThroughputMsps.FlowPipeline,
-			fresh.ThroughputMsps.FlowSync, pos, mode.pipeFloor)
 	}
 
 	if mode.figures && len(base.Figures) > 0 {
@@ -219,6 +145,99 @@ func runBenchDiff(baselinePath string, tolerant bool, frames, packets int) error
 	}
 	fmt.Println("  no regressions")
 	return nil
+}
+
+// gateKind selects how a gate compares its fresh measurement.
+type gateKind uint8
+
+const (
+	// vsBaseline gates fresh/base against a floor; the row is skipped (and
+	// says so) when the baseline has no figure.
+	vsBaseline gateKind = iota
+	// freshFloor gates the fresh value against a floor; the row is silent
+	// when the fresh run did not measure it (value ≤ 0).
+	freshFloor
+	// freshCeiling gates the fresh value against a ceiling.
+	freshCeiling
+)
+
+// gate is one row of the bench-diff gate table. Its printed line is the
+// status and the name followed by format applied to args, the gated value
+// and the limit.
+type gate struct {
+	name   string
+	kind   gateKind
+	fresh  float64
+	base   float64 // vsBaseline only
+	limit  float64 // floor, or ceiling for freshCeiling
+	format string
+	args   []any
+}
+
+// benchGates is the gate table: the throughput ratios against the
+// baseline, the fleet drill rate, and the fresh-side telemetry overhead,
+// block-over-scalar and pipeline-over-sync gates. Cells/s is not Msps, but
+// the same ratio floor catches the same order-of-magnitude regressions;
+// the fresh-side gates hold regardless of the baseline (RunFlowPipe has
+// already proved the two schedulers bit-identical before their ratio is
+// measured).
+func benchGates(mode benchDiffMode, base, fresh *BenchReport) []gate {
+	b, f := &base.ThroughputMsps, &fresh.ThroughputMsps
+	msps := func(name string, bv, fv float64) gate {
+		return gate{name: name, kind: vsBaseline, fresh: fv, base: bv, limit: mode.ratioFloor,
+			format: "%8.2f -> %8.2f Msps  (%.2fx, floor %.2fx)", args: []any{bv, fv}}
+	}
+	return []gate{
+		msps("core_per_sample", b.CorePerSample, f.CorePerSample),
+		msps("core_block", b.CoreBlock, f.CoreBlock),
+		msps("core_block_parallel", b.CoreBlockParallel, f.CoreBlockParallel),
+		msps("xcorr_packed", b.XCorrPacked, f.XCorrPacked),
+		msps("xcorr_reference", b.XCorrReference, f.XCorrReference),
+		msps("wifi_tx", b.WiFiTx, f.WiFiTx),
+		msps("wifi_rx", b.WiFiRx, f.WiFiRx),
+		msps("flow_sync", b.FlowSync, f.FlowSync),
+		msps("flow_pipeline", b.FlowPipeline, f.FlowPipeline),
+		{name: "fleet_cells_per_sec", kind: vsBaseline, fresh: fresh.FleetCellsPerSec,
+			base: base.FleetCellsPerSec, limit: mode.ratioFloor,
+			format: "%8.0f -> %8.0f cells/s  (%.2fx, floor %.2fx)",
+			args:   []any{base.FleetCellsPerSec, fresh.FleetCellsPerSec}},
+		{name: "telemetry_overhead_pct", kind: freshCeiling, fresh: fresh.TelemetryOverheadPct,
+			limit: mode.overheadCeil, format: "%.2f%% of block throughput  (ceiling %.0f%%)"},
+		{name: "block_over_scalar", kind: freshFloor, fresh: f.BlockOverScalar,
+			limit: mode.blockFloor, format: "block %.2f / scalar %.2f = %.2fx  (floor %.2fx)",
+			args: []any{f.CoreBlock, f.CorePerSample}},
+		{name: "pipeline_over_sync", kind: freshFloor, fresh: f.PipelineOverSync,
+			limit: mode.pipeFloor, format: "pipeline %.2f / sync %.2f = %.2fx  (floor %.2fx)",
+			args: []any{f.FlowPipeline, f.FlowSync}},
+	}
+}
+
+// eval prints the gate's line to w and reports whether the gate failed.
+func (g gate) eval(w io.Writer) bool {
+	v := g.fresh
+	switch g.kind {
+	case vsBaseline:
+		if g.base <= 0 {
+			fmt.Fprintf(w, "  skip %-22s baseline has no figure\n", g.name)
+			return false
+		}
+		v = g.fresh / g.base
+	case freshFloor:
+		if !(v > 0) {
+			return false
+		}
+	}
+	failed := v < g.limit
+	if g.kind == freshCeiling {
+		failed = v > g.limit
+	}
+	status := "ok  "
+	if failed {
+		status = "FAIL"
+	}
+	args := append([]any{status, g.name}, g.args...)
+	fmt.Fprintf(w, "  %s %-22s "+g.format+"\n", append(args, v, g.limit)...)
+	return failed
 }
 
 func sortedKeys(m map[string]float64) []string {

@@ -153,8 +153,8 @@ func main() {
 	if *fleetFlag {
 		// This console is one cell of a fleet: its live recorder binds to
 		// the "jamlab" cell so the aggregation plane pulls it on every
-		// snapshot, and the /stream surface becomes the multi-client
-		// broadcaster that drops (and counts) stalled subscribers.
+		// snapshot, and /stream broadcasts the fleet's rollups instead of
+		// this cell's alone.
 		c.agg = fleet.New(fleet.Options{
 			Budgets: fleet.DefaultBudgets(c.jam.GroupDelayCycles()),
 			DroppedClients: func() uint64 {
@@ -172,16 +172,16 @@ func main() {
 		mux := http.NewServeMux()
 		if c.agg != nil {
 			mux.Handle("/metrics", c.agg.Handler())
-			mux.Handle("/stream", c.bcast)
-			c.bcast.Start()
 			c.agg.Start(*streamInterval)
 		} else {
 			mux.Handle("/metrics", c.jam.MetricsHandler())
-			mux.Handle("/stream", telemetry.StreamHandler(*streamInterval,
+			c.bcast = telemetry.NewBroadcaster(*streamInterval,
 				func(seq uint64) []telemetry.Rollup {
 					return []telemetry.Rollup{telemetry.RollupFrom("jamlab", seq, live)}
-				}))
+				})
 		}
+		mux.Handle("/stream", c.bcast)
+		c.bcast.Start()
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -268,8 +268,10 @@ func (c *console) shutdown(tracePath string) {
 		}
 		fmt.Fprintf(c.out, "trace written to %s\n", tracePath)
 	}
-	if c.agg != nil {
+	if c.bcast != nil {
 		c.bcast.Stop()
+	}
+	if c.agg != nil {
 		c.agg.Stop()
 		fs := c.agg.Snapshot()
 		fmt.Fprintf(c.out, "fleet: %d cell(s), SLO pass %d fail %d, %d dropped stream client(s)\n",

@@ -1,97 +1,13 @@
-// Package channel models the RF propagation elements of the experimental
-// setup: fixed and variable attenuators, additive white Gaussian noise at
-// the receiver front end, and superposition of multiple transmitters onto a
-// single receive port (the signal + jammer combining at the access point).
+// Package channel models over-the-air propagation for the experiments that
+// are not cabled: a Rayleigh-faded tapped delay line.
 package channel
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
 	"repro/internal/dsp"
 )
-
-// Attenuator applies a fixed power loss in dB.
-type Attenuator struct {
-	db float64
-}
-
-// NewAttenuator returns an attenuator with the given loss (positive dB
-// attenuates).
-func NewAttenuator(db float64) *Attenuator { return &Attenuator{db: db} }
-
-// DB returns the configured loss.
-func (a *Attenuator) DB() float64 { return a.db }
-
-// SetDB changes the loss (a variable attenuator).
-func (a *Attenuator) SetDB(db float64) { a.db = db }
-
-// Gain returns the amplitude gain (≤1 for positive dB loss).
-func (a *Attenuator) Gain() float64 { return dsp.AmplitudeFromDB(-a.db) }
-
-// Apply attenuates a copy of the buffer.
-func (a *Attenuator) Apply(x dsp.Samples) dsp.Samples {
-	return x.Clone().Scale(a.Gain())
-}
-
-// AWGN is a receiver noise process with a fixed noise floor power.
-type AWGN struct {
-	src *dsp.NoiseSource
-}
-
-// NewAWGN returns an AWGN process with per-sample noise power and seed.
-func NewAWGN(power float64, seed int64) *AWGN {
-	return &AWGN{src: dsp.NewNoiseSource(power, seed)}
-}
-
-// Power returns the configured noise power.
-func (n *AWGN) Power() float64 { return n.src.Power() }
-
-// Apply adds noise to a copy of the buffer.
-func (n *AWGN) Apply(x dsp.Samples) dsp.Samples {
-	return n.src.AddTo(x.Clone())
-}
-
-// Sample returns one noise sample (for streaming receivers).
-func (n *AWGN) Sample() complex128 { return n.src.Sample() }
-
-// Combine sums multiple transmitter waveforms, each with its own amplitude
-// gain and sample offset, into one receive buffer of the given length.
-// Contributions beyond length are dropped; offsets may be negative (the
-// leading part is dropped).
-func Combine(length int, parts ...Part) dsp.Samples {
-	out := make(dsp.Samples, length)
-	for _, p := range parts {
-		for i, s := range p.Samples {
-			pos := i + p.Offset
-			if pos < 0 || pos >= length {
-				continue
-			}
-			out[pos] += s * complex(p.Gain, 0)
-		}
-	}
-	return out
-}
-
-// Part is one transmitter's contribution to a combined receive waveform.
-type Part struct {
-	Samples dsp.Samples
-	// Gain is the amplitude path gain from that transmitter.
-	Gain float64
-	// Offset is the sample position at which the contribution starts.
-	Offset int
-}
-
-// SNRdB computes the signal-to-noise power ratio in dB given signal power
-// and noise power.
-func SNRdB(signalPower, noisePower float64) (float64, error) {
-	if signalPower <= 0 || noisePower <= 0 {
-		return 0, fmt.Errorf("channel: powers must be positive (got %v, %v)",
-			signalPower, noisePower)
-	}
-	return dsp.DB(signalPower / noisePower), nil
-}
 
 // Multipath is a small tapped-delay-line fading channel for over-the-air
 // experiments (the §5 WiMAX downlink is broadcast, not cabled).
@@ -119,11 +35,6 @@ func NewRayleighMultipath(rng *rand.Rand, nTaps int, decay float64) *Multipath {
 		taps[i] *= scale
 	}
 	return &Multipath{taps: taps}
-}
-
-// Taps returns a copy of the channel taps.
-func (m *Multipath) Taps() []complex128 {
-	return append([]complex128(nil), m.taps...)
 }
 
 // Apply convolves the waveform with the channel taps (same-length output).

@@ -8,104 +8,11 @@ import (
 	"repro/internal/dsp"
 )
 
-func TestAttenuatorGain(t *testing.T) {
-	a := NewAttenuator(20)
-	if g := a.Gain(); math.Abs(g-0.1) > 1e-12 {
-		t.Errorf("20 dB pad gain = %v, want 0.1", g)
-	}
-	x := dsp.Samples{1, 1i}
-	y := a.Apply(x)
-	if math.Abs(real(y[0])-0.1) > 1e-12 {
-		t.Errorf("attenuated sample %v", y[0])
-	}
-	if x[0] != 1 {
-		t.Error("Apply mutated its input")
-	}
-	a.SetDB(0)
-	if a.Gain() != 1 {
-		t.Error("0 dB pad should be unity")
-	}
-	if a.DB() != 0 {
-		t.Error("DB accessor")
-	}
-}
-
-func TestAttenuatorPowerRelationship(t *testing.T) {
-	a := NewAttenuator(10)
-	x := make(dsp.Samples, 1000)
-	for i := range x {
-		x[i] = 1
-	}
-	y := a.Apply(x)
-	ratio := x.Power() / y.Power()
-	if math.Abs(dsp.DB(ratio)-10) > 1e-9 {
-		t.Errorf("power loss %v dB, want 10", dsp.DB(ratio))
-	}
-}
-
-func TestAWGN(t *testing.T) {
-	n := NewAWGN(0.5, 1)
-	if n.Power() != 0.5 {
-		t.Error("Power accessor")
-	}
-	x := make(dsp.Samples, 100000)
-	y := n.Apply(x)
-	if math.Abs(y.Power()-0.5) > 0.03 {
-		t.Errorf("noise power %v, want 0.5", y.Power())
-	}
-	if x.Power() != 0 {
-		t.Error("Apply mutated its input")
-	}
-	if n.Sample() == 0 {
-		t.Error("Sample returned zero noise")
-	}
-}
-
-func TestCombineOffsets(t *testing.T) {
-	a := dsp.Samples{1, 1, 1}
-	b := dsp.Samples{2i, 2i}
-	out := Combine(6,
-		Part{Samples: a, Gain: 1, Offset: 0},
-		Part{Samples: b, Gain: 0.5, Offset: 2},
-	)
-	want := dsp.Samples{1, 1, 1 + 1i, 1i, 0, 0}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("Combine[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-}
-
-func TestCombineClipsOutOfRange(t *testing.T) {
-	a := dsp.Samples{1, 2, 3, 4}
-	out := Combine(3, Part{Samples: a, Gain: 1, Offset: -2})
-	if out[0] != 3 || out[1] != 4 || out[2] != 0 {
-		t.Errorf("negative offset handling: %v", out)
-	}
-	out = Combine(3, Part{Samples: a, Gain: 1, Offset: 2})
-	if out[2] != 1 {
-		t.Errorf("tail clipping: %v", out)
-	}
-}
-
-func TestSNRdB(t *testing.T) {
-	snr, err := SNRdB(10, 1)
-	if err != nil || math.Abs(snr-10) > 1e-12 {
-		t.Errorf("SNRdB = %v, %v", snr, err)
-	}
-	if _, err := SNRdB(0, 1); err == nil {
-		t.Error("zero signal power accepted")
-	}
-	if _, err := SNRdB(1, -1); err == nil {
-		t.Error("negative noise power accepted")
-	}
-}
-
 func TestMultipathUnitPowerTaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		m := NewRayleighMultipath(rng, 3, 0.5)
-		taps := m.Taps()
+		taps := m.taps
 		if len(taps) != 3 {
 			t.Fatalf("taps %d", len(taps))
 		}
@@ -119,7 +26,7 @@ func TestMultipathUnitPowerTaps(t *testing.T) {
 	}
 	// Degenerate tap count clamps to 1.
 	m := NewRayleighMultipath(rng, 0, 0.5)
-	if len(m.Taps()) != 1 {
+	if len(m.taps) != 1 {
 		t.Error("zero taps should clamp to 1")
 	}
 }
@@ -127,7 +34,7 @@ func TestMultipathUnitPowerTaps(t *testing.T) {
 func TestMultipathApplyConvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := NewRayleighMultipath(rng, 2, 1)
-	taps := m.Taps()
+	taps := m.taps
 	x := dsp.Samples{1, 0, 0, 2}
 	y := m.Apply(x)
 	if len(y) != len(x) {
@@ -154,16 +61,6 @@ func TestMultipathPreservesAveragePower(t *testing.T) {
 	}
 	if avg := acc / trials; math.Abs(avg-1) > 0.15 {
 		t.Errorf("average faded power %v, want ~1", avg)
-	}
-}
-
-func TestMultipathTapsCopy(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m := NewRayleighMultipath(rng, 2, 0.5)
-	taps := m.Taps()
-	taps[0] = 0
-	if m.Taps()[0] == 0 {
-		t.Error("Taps returned aliased slice")
 	}
 }
 

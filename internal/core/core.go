@@ -369,8 +369,7 @@ func (c *Core) stepLevels(q fixed.IQ, xcLevel, enHigh, enLow bool) complex128 {
 }
 
 // blockScratch holds the reusable block-mode staging buffers: the SoA I/Q
-// planes, the packed sign-bit words, the detector level bitmaps, and the
-// pooled ProcessBuffer output.
+// planes, the packed sign-bit words and the detector level bitmaps.
 type blockScratch struct {
 	iPlane []int16
 	qPlane []int16
@@ -380,7 +379,6 @@ type blockScratch struct {
 	lvlH   []uint64 // energy-high level bitmap
 	lvlL   []uint64 // energy-low level bitmap
 	lvlAny []uint64 // OR of the three, for the quiet-span scan
-	tx     []complex128
 }
 
 func (s *blockScratch) grow(n int) {
@@ -431,14 +429,6 @@ func (s *blockScratch) grow(n int) {
 // cycle stamp the per-sample path would give it; while an engagement is
 // open the whole path stays scalar so holdoff-release timing is preserved.
 func (c *Core) ProcessBlock(rx []complex128, tx []complex128) {
-	c.ProcessBlockScaled(rx, tx, 1)
-}
-
-// ProcessBlockScaled is ProcessBlock with an RX amplitude gain folded into
-// the quantization sweep, bit-identical to scaling every input sample by
-// complex(scale, 0) first. The radio front end uses it to apply its RX gain
-// without an extra pass over the data.
-func (c *Core) ProcessBlockScaled(rx []complex128, tx []complex128, scale float64) {
 	n := len(rx)
 	if n == 0 {
 		return
@@ -452,7 +442,7 @@ func (c *Core) ProcessBlockScaled(rx []complex128, tx []complex128, scale float6
 
 	c.scratch.grow(n)
 	sc := &c.scratch
-	fixed.QuantizeFused(rx, scale, sc.iPlane, sc.qPlane, sc.signI, sc.signQ)
+	fixed.QuantizeFused(rx, sc.iPlane, sc.qPlane, sc.signI, sc.signQ)
 	c.en.ProcessBits(sc.iPlane, sc.qPlane, sc.lvlH, sc.lvlL)
 	c.xc.ProcessPacked(sc.signI, sc.signQ, n, sc.lvlX)
 	for w, x := range sc.lvlX {
@@ -529,20 +519,6 @@ func nextLevelBit(words []uint64, from, n int) int {
 		}
 	}
 	return n
-}
-
-// ProcessBuffer runs a whole receive buffer through the core, returning the
-// transmit buffer of equal length. The returned slice is pooled: it stays
-// valid until the next ProcessBuffer call on this core, which reuses the
-// same backing array. Callers that need the output to outlive the next
-// block must copy it (the flowgraph sinks already do).
-func (c *Core) ProcessBuffer(rx []complex128) []complex128 {
-	if cap(c.scratch.tx) < len(rx) {
-		c.scratch.tx = make([]complex128, len(rx))
-	}
-	tx := c.scratch.tx[:len(rx)]
-	c.ProcessBlock(rx, tx)
-	return tx
 }
 
 // Resources returns the total FPGA utilization of the synthesized core.

@@ -25,9 +25,6 @@ func NewFIR(taps []float64) *FIR {
 	return &FIR{taps: t, delay: make(Samples, len(taps))}
 }
 
-// NumTaps returns the filter order plus one.
-func (f *FIR) NumTaps() int { return len(f.taps) }
-
 // Reset clears the delay line.
 func (f *FIR) Reset() {
 	for i := range f.delay {
@@ -104,30 +101,4 @@ func LowpassTaps(numTaps int, cutoff float64) []float64 {
 		taps[i] /= sum
 	}
 	return taps
-}
-
-// Hamming returns an n-point Hamming window.
-func Hamming(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		w[i] = 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(n-1))
-	}
-	return w
-}
-
-// Hann returns an n-point Hann window.
-func Hann(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		w[i] = 0.5 - 0.5*math.Cos(2*math.Pi*float64(i)/float64(n-1))
-	}
-	return w
 }

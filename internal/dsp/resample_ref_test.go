@@ -187,7 +187,7 @@ func TestResamplerNonFiniteStaysInRail(t *testing.T) {
 			out := NewResampler(5, 4, 8).Process(in)
 			iPlane, qPlane := make([]int16, len(out)), make([]int16, len(out))
 			signs := make([]uint64, (len(out)+63)/64)
-			fixed.QuantizeFused(out, 1, iPlane, qPlane, signs, make([]uint64, len(signs)))
+			fixed.QuantizeFused(out, iPlane, qPlane, signs, make([]uint64, len(signs)))
 			for i, v := range out {
 				hitRe, hitIm, cleanIm := real(v), imag(v), imag(clean[i])
 				if rail == "Q" {

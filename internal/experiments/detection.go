@@ -15,6 +15,7 @@ import (
 	"repro/internal/host"
 	"repro/internal/impair"
 	"repro/internal/radio"
+	"repro/internal/telemetry"
 	"repro/internal/trigger"
 	"repro/internal/wifi"
 )
@@ -196,20 +197,13 @@ func CharacterizeDetection(cfg DetectionConfig) (*DetectionResult, error) {
 	}
 
 	// --- False-alarm calibration: terminated input, noise only. ---
-	r, count, _, err := buildDetector(cfg)
+	alarms, _, err := calibrateFalseAlarms(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	noise := dsp.NewNoiseSource(noiseFloorPower, cfg.Seed+9999)
-	// 2M samples at 20 MSPS input (2.5M at the core) ≈ 0.1 s. Kept modest;
-	// cmd/experiments -full raises it via FACalibrationScale.
-	faSamples := 2_000_000 * faCalibrationScale
-	if err := streamNoise(r, noise, faSamples); err != nil {
-		return nil, err
-	}
-	faSec := float64(faSamples) / wifi.SampleRate
+	faSec := float64(faCalibrationSamples()) / wifi.SampleRate
 	result := &DetectionResult{
-		FalseAlarmsPerSec: float64(count()) / faSec,
+		FalseAlarmsPerSec: float64(alarms) / faSec,
 		FACalibrationSec:  faSec,
 	}
 
@@ -218,51 +212,124 @@ func CharacterizeDetection(cfg DetectionConfig) (*DetectionResult, error) {
 	// the sweep is bit-identical at any pool width. ---
 	result.Points = make([]DetectionPoint, len(cfg.SNRsDB))
 	err = forEach(len(cfg.SNRsDB), func(pi int) error {
-		snr := cfg.SNRsDB[pi]
-		r, count, _, err := buildDetector(cfg)
-		if err != nil {
-			return err
-		}
-		front := impair.New(cfg.Impairments)
-		noise := dsp.NewNoiseSource(noiseFloorPower, cfg.Seed+int64(snr*100))
-		amp := math.Sqrt(noiseFloorPower * dsp.FromDB(snr))
-		framesDetected := 0
-		var detections uint64
-		var buf, tx dsp.Samples
-		for f := 0; f < cfg.FramesPerPoint; f++ {
-			wave, err := frameWaveform(cfg.Kind, f, cfg.Seed)
-			if err != nil {
-				return err
-			}
-			// Scale the unit-power frame to the target SNR over noise and
-			// surround it with idle gap (the paper sends 130 frames/s; the
-			// inter-frame gap only needs to re-arm the detectors).
-			buf = dsp.PadInto(buf, wave, interFrameGap, interFrameGap)
-			scale := amp / math.Sqrt(wave.Power())
-			for i := range buf {
-				buf[i] = front.ProcessSample(buf[i]*complex(scale, 0)) + noise.Sample()
-			}
-			before := count()
-			if tx, err = r.ProcessAppend(tx[:0], buf); err != nil {
-				return err
-			}
-			d := count() - before
-			if d > 0 {
-				framesDetected++
-			}
-			detections += d
-		}
-		result.Points[pi] = DetectionPoint{
-			SNRdB:              snr,
-			Pd:                 float64(framesDetected) / float64(cfg.FramesPerPoint),
-			DetectionsPerFrame: float64(detections) / float64(cfg.FramesPerPoint),
-		}
-		return nil
+		p, err := detectPoint(cfg, cfg.SNRsDB[pi], nil, nil)
+		result.Points[pi] = p
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return result, nil
+}
+
+// calibrateFalseAlarms runs the §3.2 false-alarm calibration on a fresh
+// detector: faCalibrationSamples of noise-floor noise and nothing else (the
+// terminated input). rec, when non-nil, journals the run. It returns the
+// detection count and the resolved detection event.
+func calibrateFalseAlarms(cfg DetectionConfig, rec telemetry.Recorder) (uint64, trigger.Event, error) {
+	r, count, ev, err := buildDetector(cfg)
+	if err != nil {
+		return 0, ev, err
+	}
+	if rec != nil {
+		r.Core().SetRecorder(rec)
+	}
+	noise := dsp.NewNoiseSource(noiseFloorPower, cfg.Seed+9999)
+	if err := streamNoise(r, noise, faCalibrationSamples()); err != nil {
+		return 0, ev, err
+	}
+	return count(), ev, nil
+}
+
+// detectPoint measures one SNR point: FramesPerPoint frames through a fresh
+// detector, every seed derived from (cfg.Seed, snr). rec, when non-nil,
+// journals the run, and window, when non-nil, receives each frame's clock
+// window on the core.
+func detectPoint(cfg DetectionConfig, snr float64, rec telemetry.Recorder,
+	window func(frame int, start, end uint64)) (DetectionPoint, error) {
+	r, count, _, err := buildDetector(cfg)
+	if err != nil {
+		return DetectionPoint{}, err
+	}
+	if rec != nil {
+		r.Core().SetRecorder(rec)
+	}
+	clock := r.Core().Clock()
+	// The paper sends 130 frames/s; the inter-frame gap only needs to
+	// re-arm the detectors.
+	feed := frameFeed{
+		r:     r,
+		noise: dsp.NewNoiseSource(noiseFloorPower, cfg.Seed+int64(snr*100)),
+		front: impair.New(cfg.Impairments),
+		amp:   snrAmplitude(snr),
+		lead:  interFrameGap,
+	}
+	framesDetected := 0
+	var detections uint64
+	for f := 0; f < cfg.FramesPerPoint; f++ {
+		wave, err := frameWaveform(cfg.Kind, f, cfg.Seed)
+		if err != nil {
+			return DetectionPoint{}, err
+		}
+		before, start := count(), clock.Cycle()
+		if err := feed.send(wave); err != nil {
+			return DetectionPoint{}, err
+		}
+		if window != nil {
+			window(f, start, clock.Cycle())
+		}
+		d := count() - before
+		if d > 0 {
+			framesDetected++
+		}
+		detections += d
+	}
+	return DetectionPoint{
+		SNRdB:              snr,
+		Pd:                 float64(framesDetected) / float64(cfg.FramesPerPoint),
+		DetectionsPerFrame: float64(detections) / float64(cfg.FramesPerPoint),
+	}, nil
+}
+
+// snrAmplitude is the frame amplitude that puts a unit-power frame snrDB
+// over the noise floor.
+func snrAmplitude(snrDB float64) float64 {
+	return math.Sqrt(noiseFloorPower * dsp.FromDB(snrDB))
+}
+
+// frameFeed streams a sequence of frames through a radio, one reused input
+// and one reused output buffer for the whole sequence: each frame is padded
+// with lead idle samples on both sides, scaled from unit power to amp, run
+// through the front-end impairments (skipped when front is nil, so an ideal
+// front end costs nothing), summed with the noise floor and processed.
+type frameFeed struct {
+	r     *radio.N210
+	noise *dsp.NoiseSource
+	front *impair.Chain
+	amp   float64
+	lead  int
+
+	buf, tx dsp.Samples
+}
+
+// send feeds one frame through the radio.
+func (f *frameFeed) send(wave dsp.Samples) error {
+	buf := dsp.PadInto(f.buf, wave, f.lead, f.lead)
+	f.buf = buf
+	scale := f.amp / math.Sqrt(wave.Power())
+	noise, front := f.noise, f.front
+	if front != nil {
+		for i, v := range buf {
+			buf[i] = front.ProcessSample(v*complex(scale, 0)) + noise.Sample()
+		}
+	} else {
+		for i, v := range buf {
+			buf[i] = v*complex(scale, 0) + noise.Sample()
+		}
+	}
+	var err error
+	f.tx, err = f.r.ProcessAppend(f.tx[:0], buf)
+	return err
 }
 
 // faChunk is the block size in which a false-alarm calibration streams its
@@ -296,6 +363,11 @@ const interFrameGap = 256
 // faCalibrationScale multiplies the noise-only calibration window;
 // cmd/experiments -full raises it for tighter false-alarm estimates.
 var faCalibrationScale = 1
+
+// faCalibrationSamples is the length of the noise-only calibration stream:
+// 2M samples at 20 MSPS input (2.5M at the core) ≈ 0.1 s. Kept modest;
+// cmd/experiments -full raises it via SetFACalibrationScale.
+func faCalibrationSamples() int { return 2_000_000 * faCalibrationScale }
 
 // SetFACalibrationScale adjusts the false-alarm window multiplier (≥1).
 func SetFACalibrationScale(n int) {

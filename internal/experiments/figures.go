@@ -9,7 +9,6 @@ import (
 	"repro/internal/iperf"
 	"repro/internal/jammer"
 	"repro/internal/testbed"
-	"repro/internal/wifi"
 )
 
 // DefaultSNRSweep is the Fig. 6-8 x-axis: –6 dB to +14 dB.
@@ -202,13 +201,3 @@ func ReconfigLatency() (personality, fullDetector time.Duration, err error) {
 // MaxUDPTheoretical returns the nominal 54 Mbps iperf setting of §4.2 in
 // Kbps, for the report header.
 func MaxUDPTheoretical() float64 { return 54000 }
-
-// RateForMbps maps a nominal rate to the wifi.Rate enum, for reports.
-func RateForMbps(mbps int) (wifi.Rate, error) {
-	for _, r := range wifi.AllRates {
-		if r.Mbps() == mbps {
-			return r, nil
-		}
-	}
-	return 0, fmt.Errorf("experiments: no %d Mbps OFDM rate", mbps)
-}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/core"
@@ -110,22 +109,22 @@ func MeasureReactionLatency(cfg ReactionConfig) (*ReactionResult, error) {
 	r.Core().SetRecorder(live)
 	r.Start()
 
-	noise := dsp.NewNoiseSource(noiseFloorPower, cfg.Seed+77)
-	amp := math.Sqrt(noiseFloorPower * dsp.FromDB(cfg.SNRdB))
-	const lead = 512 // quiet samples before the frame (re-arms the detector)
-	var buf, tx dsp.Samples
+	// 512 quiet samples before each frame re-arm the detector.
+	feed := frameFeed{
+		r:     r,
+		noise: dsp.NewNoiseSource(noiseFloorPower, cfg.Seed+77),
+		amp:   snrAmplitude(cfg.SNRdB),
+		lead:  512,
+	}
 	for f := 0; f < cfg.Frames; f++ {
 		wave, err := frameWaveform(FullFrame, f, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		buf = dsp.PadInto(buf, wave, lead, lead)
-		scale := amp / math.Sqrt(wave.Power())
-		for i := range buf {
-			buf[i] = buf[i]*complex(scale, 0) + noise.Sample()
-		}
-		r.MarkFrame(lead)
-		if tx, err = r.ProcessAppend(tx[:0], buf); err != nil {
+		// Building the frame does not move the core clock, so the marker
+		// lands where the frame starts in the buffer send processes.
+		r.MarkFrame(feed.lead)
+		if err := feed.send(wave); err != nil {
 			return nil, err
 		}
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dsp"
 	"repro/internal/host"
@@ -178,22 +177,20 @@ func selectivityCell(tpl []complex128, thresholdFrac, energyDB float64, sig Stan
 	if err := r.SetSourceRate(sourceRate(sig)); err != nil {
 		return 0, err
 	}
-	noise := dsp.NewNoiseSource(noiseFloorPower, seed+int64(sig)*37)
-	amp := math.Sqrt(noiseFloorPower * dsp.FromDB(snrDB))
+	feed := frameFeed{
+		r:     r,
+		noise: dsp.NewNoiseSource(noiseFloorPower, seed+int64(sig)*37),
+		amp:   snrAmplitude(snrDB),
+		lead:  interFrameGap,
+	}
 	hits := 0
-	var buf, tx dsp.Samples
 	for f := 0; f < frames; f++ {
 		wave, err := standardFrame(sig, f)
 		if err != nil {
 			return 0, err
 		}
-		buf = dsp.PadInto(buf, wave, interFrameGap, interFrameGap)
-		scale := amp / math.Sqrt(wave.Power())
-		for i := range buf {
-			buf[i] = buf[i]*complex(scale, 0) + noise.Sample()
-		}
 		before := counter()
-		if tx, err = r.ProcessAppend(tx[:0], buf); err != nil {
+		if err := feed.send(wave); err != nil {
 			return 0, err
 		}
 		if counter() > before {

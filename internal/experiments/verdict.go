@@ -2,10 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/dsp"
-	"repro/internal/impair"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/span"
 	"repro/internal/trigger"
@@ -13,10 +10,10 @@ import (
 	"repro/internal/wifi"
 )
 
-// The verdict-ledger experiment replays the §3.2 detection methodology —
-// identical stimulus, seeds, radio construction and phase structure as
-// CharacterizeDetection for a single SNR point — with the telemetry journal
-// capturing every engagement, then classifies each transmitted frame from
+// The verdict-ledger experiment runs the §3.2 detection methodology for a
+// single SNR point through CharacterizeDetection's own false-alarm
+// calibration and SNR-point loop, with the telemetry journal capturing
+// every engagement, then classifies each transmitted frame from
 // the journal alone and reconciles the ledger's Pd / false-alarm figures
 // against the counter-delta figures computed the way the characterization
 // computes them. Both views observe the same datapath run, so they must
@@ -96,70 +93,34 @@ func RunVerdictLedger(cfg VerdictConfig) (*VerdictOutcome, error) {
 		depth = 1 << 16
 	}
 
-	// --- Phase 1: noise-only false-alarm calibration, its own fresh radio
-	// and journal (mirroring CharacterizeDetection's structure so the
-	// figures are comparable run-to-run, not just within this run). ---
-	r, count, ev, err := buildDetector(d)
+	// --- Phase 1: the noise-only false-alarm calibration that
+	// CharacterizeDetection runs, on its own journal. ---
+	faLive := telemetry.NewLive(depth)
+	counterFA, ev, err := calibrateFalseAlarms(d, faLive)
 	if err != nil {
 		return nil, err
 	}
-	kind := detectionKind(ev)
-	faLive := telemetry.NewLive(depth)
-	r.Core().SetRecorder(faLive)
-	noise := dsp.NewNoiseSource(noiseFloorPower, d.Seed+9999)
-	faSamples := 2_000_000 * faCalibrationScale
-	if err := streamNoise(r, noise, faSamples); err != nil {
-		return nil, err
-	}
-	counterFA := count()
 	if dropped := faLive.Dropped(); dropped != 0 {
 		return nil, fmt.Errorf("experiments: FA journal dropped %d events; raise JournalDepth", dropped)
 	}
 	// With no ground-truth packets, every engagement is a false positive and
 	// every configured-kind edge a false alarm.
+	kind := detectionKind(ev)
 	faResult, err := verdict.Classify(nil, span.Build(faLive.Events()),
 		verdict.Options{Kinds: []telemetry.EventKind{kind}})
 	if err != nil {
 		return nil, err
 	}
 
-	// --- Phase 2: Pd measurement on a fresh radio, per-frame clock windows
-	// journaled alongside the per-frame counter deltas. ---
-	r, count, _, err = buildDetector(d)
+	// --- Phase 2: the characterization's SNR point, journaled, with each
+	// frame's clock window collected alongside its counter delta. ---
+	live := telemetry.NewLive(depth)
+	packets := make([]verdict.Packet, 0, d.FramesPerPoint)
+	point, err := detectPoint(d, snr, live, func(f int, start, end uint64) {
+		packets = append(packets, verdict.Packet{Index: f, Start: start, End: end})
+	})
 	if err != nil {
 		return nil, err
-	}
-	live := telemetry.NewLive(depth)
-	r.Core().SetRecorder(live)
-	clock := r.Core().Clock()
-	front := impair.New(d.Impairments)
-	pNoise := dsp.NewNoiseSource(noiseFloorPower, d.Seed+int64(snr*100))
-	amp := math.Sqrt(noiseFloorPower * dsp.FromDB(snr))
-	framesDetected := 0
-	var detections uint64
-	packets := make([]verdict.Packet, 0, d.FramesPerPoint)
-	var buf, tx dsp.Samples
-	for f := 0; f < d.FramesPerPoint; f++ {
-		wave, err := frameWaveform(d.Kind, f, d.Seed)
-		if err != nil {
-			return nil, err
-		}
-		buf = dsp.PadInto(buf, wave, interFrameGap, interFrameGap)
-		scale := amp / math.Sqrt(wave.Power())
-		for i := range buf {
-			buf[i] = front.ProcessSample(buf[i]*complex(scale, 0)) + pNoise.Sample()
-		}
-		before := count()
-		start := clock.Cycle()
-		if tx, err = r.ProcessAppend(tx[:0], buf); err != nil {
-			return nil, err
-		}
-		packets = append(packets, verdict.Packet{Index: f, Start: start, End: clock.Cycle()})
-		delta := count() - before
-		if delta > 0 {
-			framesDetected++
-		}
-		detections += delta
 	}
 	if dropped := live.Dropped(); dropped != 0 {
 		return nil, fmt.Errorf("experiments: journal dropped %d events; raise JournalDepth", dropped)
@@ -182,7 +143,7 @@ func RunVerdictLedger(cfg VerdictConfig) (*VerdictOutcome, error) {
 	ledger.Summary.FPEngagements += faResult.Summary.FPEngagements
 	ledger.Summary.FalseAlarmEdges += faResult.Summary.FalseAlarmEdges
 
-	faSec := float64(faSamples) / wifi.SampleRate
+	faSec := float64(faCalibrationSamples()) / wifi.SampleRate
 	out := &VerdictOutcome{
 		SNRdB:       snr,
 		Event:       ev,
@@ -190,8 +151,8 @@ func RunVerdictLedger(cfg VerdictConfig) (*VerdictOutcome, error) {
 		Engagements: engs,
 		Ledger:      ledger,
 
-		CounterPd:                 float64(framesDetected) / float64(d.FramesPerPoint),
-		CounterDetectionsPerFrame: float64(detections) / float64(d.FramesPerPoint),
+		CounterPd:                 point.Pd,
+		CounterDetectionsPerFrame: point.DetectionsPerFrame,
 		CounterFalseAlarms:        counterFA,
 		LedgerPd:                  ledger.Summary.Pd,
 		LedgerDetectionsPerFrame:  float64(ledger.Summary.DetectionEdges) / float64(d.FramesPerPoint),

@@ -122,14 +122,6 @@ func TestCoeff3PackUnpackProperty(t *testing.T) {
 	}
 }
 
-func TestQuantizeBufferLength(t *testing.T) {
-	in := []complex128{1, -1i, 0.5}
-	out := QuantizeBuffer(in)
-	if len(out) != 3 || out[0].I != 32767 || out[1].Q != -32767 {
-		t.Errorf("QuantizeBuffer = %+v", out)
-	}
-}
-
 func TestCoeff3String(t *testing.T) {
 	if Coeff3(3).String() != "+3" || Coeff3(-4).String() != "-4" {
 		t.Error("Coeff3 String formatting wrong")

@@ -78,9 +78,6 @@ func NewGraph(chunk int) *Graph {
 	return &Graph{chunk: chunk}
 }
 
-// ChunkSize returns the scheduling quantum in samples.
-func (g *Graph) ChunkSize() int { return g.chunk }
-
 // Add registers a block and returns its handle (index).
 func (g *Graph) Add(b Block) int {
 	g.blocks = append(g.blocks, b)

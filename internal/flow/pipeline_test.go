@@ -25,9 +25,6 @@ func radioForTest(t *testing.T) *radio.N210 {
 	if _, err := h.ProgramEnergy(10, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.SetRXGain(3); err != nil {
-		t.Fatal(err)
-	}
 	r.Start()
 	return r
 }

@@ -170,9 +170,6 @@ func (c *Controller) UptimeSamples() uint64 { return c.uptime }
 // SetDelaySamples sets the trigger-to-jam delay for surgical jamming.
 func (c *Controller) SetDelaySamples(n uint64) { c.delay = n }
 
-// DelaySamples returns the configured delay.
-func (c *Controller) DelaySamples() uint64 { return c.delay }
-
 // SetGain sets the TX amplitude scale applied to the waveform.
 func (c *Controller) SetGain(g float64) { c.gain = g }
 

@@ -26,8 +26,6 @@ const (
 	MaxFreqHz = 4.4e9
 	// MaxBandwidthHz is the SBX instantaneous bandwidth.
 	MaxBandwidthHz = 40e6
-	// MaxGainDB is the SBX receive/transmit gain range.
-	MaxGainDB = 31.5
 )
 
 // N210 is the radio: front-end state plus the custom DSP core nested in its
@@ -36,8 +34,6 @@ type N210 struct {
 	core *core.Core
 
 	centerHz float64
-	rxGainDB float64
-	txGainDB float64
 
 	ddc      *dsp.Resampler // source-rate → 25 MSPS, when needed
 	ddcOut   dsp.Samples    // reused DDC output of the last ProcessAppend
@@ -47,7 +43,7 @@ type N210 struct {
 }
 
 // New returns a radio with a fresh DSP core, tuned to WiFi channel 14
-// (2.484 GHz, the paper's §4.1 setting) with 0 dB gains.
+// (2.484 GHz, the paper's §4.1 setting).
 func New() *N210 {
 	return &N210{core: core.New(), centerHz: 2.484e9, sourceHz: fpga.SampleRateHz}
 }
@@ -67,30 +63,6 @@ func (r *N210) Tune(hz float64) error {
 
 // CenterFreq returns the tuned center frequency in Hz.
 func (r *N210) CenterFreq() float64 { return r.centerHz }
-
-// SetRXGain and SetTXGain set the front-end gains in dB.
-func (r *N210) SetRXGain(db float64) error {
-	if db < 0 || db > MaxGainDB {
-		return fmt.Errorf("radio: RX gain %v dB outside [0, %v]", db, MaxGainDB)
-	}
-	r.rxGainDB = db
-	return nil
-}
-
-// SetTXGain sets the transmit gain in dB.
-func (r *N210) SetTXGain(db float64) error {
-	if db < 0 || db > MaxGainDB {
-		return fmt.Errorf("radio: TX gain %v dB outside [0, %v]", db, MaxGainDB)
-	}
-	r.txGainDB = db
-	return nil
-}
-
-// RXGain returns the receive gain in dB.
-func (r *N210) RXGain() float64 { return r.rxGainDB }
-
-// TXGain returns the transmit gain in dB.
-func (r *N210) TXGain() float64 { return r.txGainDB }
 
 // Start initializes both chains simultaneously (§2.1: "we initialize both
 // TX and RX chains simultaneously in the host application at start-up").
@@ -119,9 +91,6 @@ func (r *N210) SetSourceRate(sourceHz int) error {
 	return nil
 }
 
-// SourceRate returns the declared input sample rate in Hz.
-func (r *N210) SourceRate() int { return r.sourceHz }
-
 // GroupDelayCycles returns the receive front end's group delay in hardware
 // clock cycles, rounded up: the DDC resampler's anti-aliasing filter delays
 // every sample by this much before the detectors see it, so any end-to-end
@@ -149,10 +118,9 @@ func (r *N210) MarkFrame(offsetSourceSamples int) {
 }
 
 // Process streams a block of received baseband through the DDC (if any) and
-// the custom DSP core, returning the transmit-path output at 25 MSPS,
-// scaled by the front-end gains, in a fresh buffer. The DDC output goes to a
-// fresh buffer as well, so unlike ProcessAppend the radio keeps no scratch
-// the size of rx after the call.
+// the custom DSP core, returning the transmit-path output at 25 MSPS in a
+// fresh buffer. The DDC output goes to a fresh buffer as well, so unlike
+// ProcessAppend the radio keeps no scratch the size of rx after the call.
 func (r *N210) Process(rx dsp.Samples) (dsp.Samples, error) {
 	if !r.started {
 		return nil, fmt.Errorf("radio: chains not started")
@@ -162,7 +130,7 @@ func (r *N210) Process(rx dsp.Samples) (dsp.Samples, error) {
 		in = r.ddc.Process(rx)
 	}
 	tx := make(dsp.Samples, len(in))
-	r.processScaled(in, tx)
+	r.core.ProcessBlock(in, tx)
 	return tx, nil
 }
 
@@ -172,8 +140,7 @@ func (r *N210) Process(rx dsp.Samples) (dsp.Samples, error) {
 // buffer: the DDC writes into a scratch buffer the radio owns and reuses,
 // and dst grows only when it lacks the capacity. The caller owns dst; its
 // existing contents are left as they are, and the appended tail must not
-// overlap rx. The core runs in block mode; at the default 0 dB gains the
-// receive scaling pass is skipped entirely.
+// overlap rx. The core runs in block mode.
 func (r *N210) ProcessAppend(dst, rx dsp.Samples) (dsp.Samples, error) {
 	if !r.started {
 		return dst, fmt.Errorf("radio: chains not started")
@@ -185,7 +152,7 @@ func (r *N210) ProcessAppend(dst, rx dsp.Samples) (dsp.Samples, error) {
 	}
 	n := len(dst)
 	dst = slices.Grow(dst, len(in))[:n+len(in)]
-	r.processScaled(in, dst[n:])
+	r.core.ProcessBlock(in, dst[n:])
 	return dst, nil
 }
 
@@ -203,23 +170,8 @@ func (r *N210) ProcessInto(rx, tx dsp.Samples) error {
 		return fmt.Errorf("radio: ProcessInto needs the native %d Hz rate (DDC configured for %d Hz input)",
 			fpga.SampleRateHz, r.sourceHz)
 	}
-	r.processScaled(rx, tx[:len(rx)])
+	r.core.ProcessBlock(rx, tx[:len(rx)])
 	return nil
-}
-
-// processScaled runs the gain-folded core block path: the RX gain folds into
-// the core's fused quantization sweep, so the scaling costs no extra pass
-// over the block (bit-identical to scaling each sample by complex(rxGain, 0)
-// first), and the TX gain is applied only when it is not unity.
-func (r *N210) processScaled(in, out dsp.Samples) {
-	rxGain := dsp.AmplitudeFromDB(r.rxGainDB)
-	txGain := dsp.AmplitudeFromDB(r.txGainDB)
-	r.core.ProcessBlockScaled(in, out, rxGain)
-	if txGain != 1 {
-		for i := range out {
-			out[i] *= complex(txGain, 0)
-		}
-	}
 }
 
 func gcd(a, b int) int {

@@ -1,7 +1,6 @@
 package radio
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -26,22 +25,6 @@ func TestTuningRange(t *testing.T) {
 	}
 	if err := r.Tune(5e9); err == nil {
 		t.Error("above SBX range accepted")
-	}
-}
-
-func TestGainValidation(t *testing.T) {
-	r := New()
-	if err := r.SetRXGain(10); err != nil || r.RXGain() != 10 {
-		t.Error("RX gain set failed")
-	}
-	if err := r.SetTXGain(31.5); err != nil || r.TXGain() != 31.5 {
-		t.Error("TX gain set failed")
-	}
-	if err := r.SetRXGain(-1); err == nil {
-		t.Error("negative gain accepted")
-	}
-	if err := r.SetTXGain(40); err == nil {
-		t.Error("gain above range accepted")
 	}
 }
 
@@ -86,95 +69,11 @@ func TestSourceRateResampling(t *testing.T) {
 	}
 }
 
-func TestRXGainAffectsDetection(t *testing.T) {
-	// A weak burst that the core's quantizer would floor at 0 dB RX gain
-	// becomes detectable with +30 dB.
-	makeRadio := func(gain float64) *N210 {
-		r := New()
-		if err := r.SetRXGain(gain); err != nil {
-			t.Fatal(err)
-		}
-		bus := r.Core().Bus()
-		for a, v := range map[uint8]uint32{
-			16: 1, 17: 1000, // energy high 10 dB
-			19: 2 | 1<<12, // single-stage energy-high trigger
-			22: 100, 21: 0, 24: 1000,
-		} {
-			if err := bus.Write(a, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		r.Start()
-		return r
-	}
-	burst := make(dsp.Samples, 2000)
-	for i := 500; i < 1500; i++ {
-		burst[i] = complex(2e-4, 0) // ~6 LSB at full scale
-	}
-	low := makeRadio(0)
-	if _, err := low.Process(burst); err != nil {
-		t.Fatal(err)
-	}
-	high := makeRadio(30)
-	if _, err := high.Process(burst); err != nil {
-		t.Fatal(err)
-	}
-	if high.Core().Stats().EnergyHighDetections == 0 {
-		t.Error("30 dB RX gain: burst not detected")
-	}
-	if low.Core().Stats().EnergyHighDetections > high.Core().Stats().EnergyHighDetections {
-		t.Error("gain reduced detectability?")
-	}
-}
-
-func TestTXGainScalesOutput(t *testing.T) {
-	r := New()
-	if err := r.SetTXGain(20); err != nil {
-		t.Fatal(err)
-	}
-	bus := r.Core().Bus()
-	for a, v := range map[uint8]uint32{
-		16: 1, 17: 600,
-		19: 2 | 1<<12,
-		22: 500, 21: 0, 24: 1000,
-	} {
-		if err := bus.Write(a, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r.Start()
-	// Quiet then loud to fire the energy trigger.
-	in := make(dsp.Samples, 3000)
-	for i := 1000; i < 3000; i++ {
-		in[i] = complex(0.5, 0)
-	}
-	out, err := r.Process(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var peak float64
-	for _, s := range out {
-		if a := math.Hypot(real(s), imag(s)); a > peak {
-			peak = a
-		}
-	}
-	if peak < 3 { // WGN unit power × 10 amplitude gain
-		t.Errorf("TX peak %v with +20 dB gain, expected >3", peak)
-	}
-}
-
 // ddcRadio returns a started 20 MSPS-source radio whose energy trigger
-// fires WGN bursts on the loud spans of burstyCapture, with non-unity
-// front-end gains so both scaling paths run.
+// fires WGN bursts on the loud spans of burstyCapture.
 func ddcRadio(t testing.TB) *N210 {
 	r := New()
 	if err := r.SetSourceRate(20_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SetRXGain(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SetTXGain(6); err != nil {
 		t.Fatal(err)
 	}
 	h := host.New(r.Core())

@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// Broadcaster is the multi-client successor to StreamHandler: one
-// goroutine pulls the rollup source every interval, marshals the SSE
-// payload once, and fans it out to every subscriber over a bounded
+// Broadcaster is the `/stream` SSE server: one goroutine pulls the
+// rollup source every interval, marshals the SSE payload once, and fans it
+// out to every subscriber over a bounded
 // per-client queue. A subscriber that stops reading — a stalled TCP
 // connection, a wedged consumer — fills its queue and is dropped and
 // counted, instead of backpressuring the broadcast tick and starving the

@@ -120,3 +120,85 @@ func TestBroadcasterServeHTTP(t *testing.T) {
 		t.Errorf("seq did not advance: %d .. %d", rollups[0].Seq, rollups[2].Seq)
 	}
 }
+
+// TestBroadcasterPushesRollups is the host-side consumer check of the
+// rollup content: an SSE client must receive several `rollup` events per
+// cell carrying the counter, alert/dump and jam-burst histogram figures,
+// with the sequence number advancing across ticks.
+func TestBroadcasterPushesRollups(t *testing.T) {
+	live := NewLive(256)
+	c := &Counters{}
+	live.BindCounters(c)
+	c.Samples.Store(12345)
+	c.JamTriggers.Store(3)
+	live.Event(EvJamRFOn, 100, 0, 1)
+	live.Event(EvJamRFOff, 1100, 0, 1)
+	live.Event(EvAnomalyAlert, 1200, 0, 0)
+	live.Event(EvFlightDump, 1300, 0, 0)
+
+	b := NewBroadcaster(5*time.Millisecond, func(seq uint64) []Rollup {
+		// Two cells per tick: the live cell and a synthetic second cell, so
+		// the per-cell fan-out is exercised.
+		return []Rollup{
+			RollupFrom("cell0", seq, live),
+			{Seq: seq, Cell: "cell1"},
+		}
+	})
+	b.Start()
+	defer b.Stop()
+	srv := httptest.NewServer(b)
+	defer srv.Close()
+
+	resp, err := srv.Client().Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+
+	// Consume at least 3 updates of cell0 (and the interleaved cell1 rows).
+	sc := bufio.NewScanner(resp.Body)
+	var cell0 []Rollup
+	var sawEventLine bool
+	for len(cell0) < 3 && sc.Scan() {
+		line := sc.Text()
+		switch {
+		case line == "event: rollup":
+			sawEventLine = true
+		case strings.HasPrefix(line, "data: "):
+			var r Rollup
+			if err := json.Unmarshal([]byte(line[len("data: "):]), &r); err != nil {
+				t.Fatalf("bad rollup body %q: %v", line, err)
+			}
+			if r.Cell == "cell0" {
+				cell0 = append(cell0, r)
+			}
+		}
+	}
+	if len(cell0) < 3 {
+		t.Fatalf("stream ended after %d rollups: %v", len(cell0), sc.Err())
+	}
+	if !sawEventLine {
+		t.Error("no 'event: rollup' framing line seen")
+	}
+
+	for i, r := range cell0 {
+		if r.Counters.Samples != 12345 || r.Counters.JamTriggers != 3 {
+			t.Errorf("rollup %d counters = %+v", i, r.Counters)
+		}
+		if r.Alerts != 1 || r.Dumps != 1 {
+			t.Errorf("rollup %d alerts/dumps = %d/%d, want 1/1", i, r.Alerts, r.Dumps)
+		}
+		found := false
+		for _, h := range r.Histograms {
+			if h.Name == HistJamBurst && h.Count == 1 && h.Max >= 1000 {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("rollup %d lacks the jam-burst histogram figures", i)
+		}
+	}
+	if cell0[0].Seq == cell0[2].Seq {
+		t.Errorf("seq did not advance: %d .. %d", cell0[0].Seq, cell0[2].Seq)
+	}
+}

@@ -91,21 +91,6 @@ func (c *CellRecorder) AddOutcome(frames, jammed uint64) {
 	c.mu.Unlock()
 }
 
-// ObserveReaction records one end-to-end reaction latency (cycles) for
-// cells that feed the fleet plane directly instead of absorbing snapshots.
-func (c *CellRecorder) ObserveReaction(cycles uint64) {
-	c.mu.Lock()
-	c.reaction.Observe(cycles)
-	c.mu.Unlock()
-}
-
-// ObserveTriggerToRF records one trigger-fire→RF-on turnaround (cycles).
-func (c *CellRecorder) ObserveTriggerToRF(cycles uint64) {
-	c.mu.Lock()
-	c.triggerToRF.Observe(cycles)
-	c.mu.Unlock()
-}
-
 // snapshot captures the cell under its own lock. A bound live recorder is
 // snapshotted outside c.mu first (Live has its own mutex; taking them in
 // this fixed order, never nested the other way, avoids ordering hazards).

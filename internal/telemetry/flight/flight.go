@@ -237,7 +237,7 @@ const DumpVersion = 1
 
 // Trigger captures an incident dump and journals an EvFlightDump marker
 // (stamped after capture, so the dump itself never contains its own
-// marker). The dump is also retained on the recorder (Dumps, LastDump).
+// marker). The dump is also retained on the recorder (Dumps).
 func (r *Recorder) Trigger(tr Trigger, cycle uint64, detail string) *Dump {
 	snap := r.live.Snapshot()
 	d := &Dump{
@@ -293,14 +293,6 @@ func (r *Recorder) Trigger(tr Trigger, cycle uint64, detail string) *Dump {
 
 // Dumps returns every dump captured so far, in order.
 func (r *Recorder) Dumps() []*Dump { return r.dumps }
-
-// LastDump returns the most recent dump, or nil.
-func (r *Recorder) LastDump() *Dump {
-	if len(r.dumps) == 0 {
-		return nil
-	}
-	return r.dumps[len(r.dumps)-1]
-}
 
 // Marshal serializes the dump as deterministic JSON with a trailing
 // newline — the byte stream whose hash is the incident's identity.

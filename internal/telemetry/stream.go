@@ -1,16 +1,10 @@
 package telemetry
 
-import (
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"time"
-)
-
-// Live streaming: a Server-Sent Events endpoint (`/stream`, next to
-// `/metrics`) that pushes per-cell counter/histogram/alert rollups at a
-// fixed cadence, so a long run has a live view without scrape polling.
-// Each tick emits one `rollup` event per cell with a JSON body.
+// Live streaming: the Broadcaster serves a Server-Sent Events endpoint
+// (`/stream`, next to `/metrics`) that pushes per-cell counter/histogram/
+// alert rollups at a fixed cadence, so a long run has a live view without
+// scrape polling. Each tick emits one `rollup` event per cell with a JSON
+// body.
 
 // HistRollup is one histogram's headline figures inside a rollup.
 type HistRollup struct {
@@ -63,54 +57,3 @@ func RollupFrom(cell string, seq uint64, l *Live) Rollup {
 
 // RollupSource produces the per-cell rollups for one stream tick.
 type RollupSource func(seq uint64) []Rollup
-
-// StreamHandler returns an SSE handler pushing the source's rollups every
-// interval until the client disconnects. The first tick is emitted
-// immediately so a consumer never waits a full interval for data.
-func StreamHandler(interval time.Duration, source RollupSource) http.Handler {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		flusher, ok := w.(http.Flusher)
-		if !ok {
-			http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		w.Header().Set("Connection", "keep-alive")
-
-		emit := func(seq uint64) bool {
-			for _, r := range source(seq) {
-				body, err := json.Marshal(r)
-				if err != nil {
-					return false
-				}
-				if _, err := fmt.Fprintf(w, "event: rollup\ndata: %s\n\n", body); err != nil {
-					return false
-				}
-			}
-			flusher.Flush()
-			return true
-		}
-
-		var seq uint64
-		if !emit(seq) {
-			return
-		}
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-req.Context().Done():
-				return
-			case <-ticker.C:
-				seq++
-				if !emit(seq) {
-					return
-				}
-			}
-		}
-	})
-}

@@ -339,11 +339,3 @@ func (f *Framework) Summary() TelemetrySummary {
 	}
 	return sum
 }
-
-// DetectWiFiBPreamble arms the cross-correlator with the 802.11b DSSS long
-// preamble's scrambled SYNC template. The DSSS SYNC is purely real (BPSK),
-// so the threshold sits at 0.72 of the matched peak to reject unrelated
-// wideband signals.
-func (f *Framework) DetectWiFiBPreamble() error {
-	return f.UseTemplate(host.WiFiBTemplate(), 0.72)
-}
