@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -374,12 +375,14 @@ func TestAblationSoftDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[0].HardFER != 0 || rows[0].SoftFER != 0 {
-		t.Errorf("clean frames erred: %+v", rows[0])
+	// Exact rows: one mis-decoded frame moves a FER by 0.04, so any drift
+	// in the shared receive pipeline or Viterbi kernel fails here.
+	want := []SoftDecisionRow{
+		{BurstSymbols: 0, HardFER: 0, SoftFER: 0},
+		{BurstSymbols: 4, HardFER: 0.92, SoftFER: 0.04},
 	}
-	// Under the burst, the soft receiver must do no worse than hard.
-	if rows[1].SoftFER > rows[1].HardFER+0.05 {
-		t.Errorf("soft FER %v above hard FER %v under burst", rows[1].SoftFER, rows[1].HardFER)
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("rows %+v, want %+v", rows, want)
 	}
 	if _, err := AblationSoftDecision([]int{1}, 0, 1); err == nil {
 		t.Error("zero trials accepted")

@@ -2,23 +2,22 @@ package wifi
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/dsp"
 )
 
-// Batch frame codecs: the zero-alloc fast path through the whole modem.
+// Frame codecs: the one path through the whole modem.
 //
 // A TxCodec or RxCodec owns every scratch buffer one frame's worth of OFDM
-// symbols needs — transform points, interleaver blocks, coded-bit streams,
-// Viterbi metrics and decision words — so processing N symbols touches the
-// allocator zero times once the grow-only slices have reached the frame
-// size. The per-symbol arithmetic is bit-for-bit the same as the exported
-// single-shot primitives (Interleave, MapSymbolBits, AssembleSymbol, ...);
-// the differential tests in batch_test.go pin that equivalence.
+// symbols needs — transform points, interleaver blocks, coded-bit and LLR
+// streams, Viterbi metrics and decision words — so processing N symbols
+// touches the allocator zero times once the grow-only slices have reached
+// the frame size.
 //
-// Modulate, Demodulate and Sync route through sync.Pool-managed codecs, so
-// existing callers get the fast path with the old allocating signatures.
+// Modulate, Demodulate and DemodulateSoft route through sync.Pool-managed
+// codecs and keep their allocating, caller-owns-result signatures.
 
 // maxCBPS is the largest N_CBPS of any rate (64-QAM: 288 coded bits).
 const maxCBPS = 288
@@ -48,10 +47,10 @@ func (c *TxCodec) encodeSymbols(dst dsp.Samples, bits []uint8, r Rate, firstSymI
 	nsym := len(coded) / cbps
 	for s := 0; s < nsym; s++ {
 		interleaveInto(c.il[:cbps], coded[s*cbps:(s+1)*cbps], r)
-		mapSymbolBitsInto(c.points[:], c.il[:cbps], r)
+		mapSymbolBitsInto(&c.points, c.il[:cbps], r)
 		n := len(dst)
 		dst = dst[:n+SymbolLen]
-		assembleSymbolInto(dst[n:], &c.freq, c.points[:], firstSymIndex+s)
+		assembleSymbolInto(dst[n:], &c.freq, &c.points, firstSymIndex+s)
 	}
 	return dst
 }
@@ -108,17 +107,16 @@ func (c *TxCodec) TxFrame(dst dsp.Samples, psdu []byte, cfg TxConfig) (dsp.Sampl
 }
 
 // RxCodec carries the reusable receive-side scratch, including the packed
-// Viterbi working set and the Sync correlation magnitudes.
+// Viterbi working set and the sync correlation magnitudes.
 type RxCodec struct {
 	mags   []float64
 	freq   [FFTSize]complex128
 	f2     [FFTSize]complex128
 	points [NumDataCarriers]complex128
 	h      Channel
-	db     [maxCBPS]uint8 // demapped (still interleaved) symbol bits
-	deint  [maxCBPS]uint8 // deinterleaved symbol bits
+	db     [maxCBPS]LLR // demapped (still interleaved) symbol LLRs
 	sigDec [24]uint8
-	coded  []uint8 // whole DATA field's deinterleaved coded bits
+	coded  []LLR   // one field's deinterleaved coded LLRs
 	bits   []uint8 // Viterbi output data bits
 	psdu   []byte
 	vit    viterbiScratch
@@ -127,9 +125,9 @@ type RxCodec struct {
 
 var rxPool = sync.Pool{New: func() any { return new(RxCodec) }}
 
-// sync is the scratch-reusing core of Sync: it correlates the window against
-// the cached conjugated LTS taps and requires the characteristic double peak
-// 64 samples apart.
+// sync locates the first long training symbol: it correlates candidate
+// start positions in [from, to) against the cached conjugated LTS taps and
+// requires the characteristic double peak 64 samples apart.
 func (c *RxCodec) sync(x dsp.Samples, from, to int) (int, error) {
 	if from < 0 {
 		from = 0
@@ -185,6 +183,13 @@ func (c *RxCodec) sync(x dsp.Samples, from, to int) (int, error) {
 // PSDU) alias codec scratch and are valid until the next RxFrame call;
 // Demodulate copies them out for callers that keep the data.
 func (c *RxCodec) RxFrame(x dsp.Samples, searchFrom, searchTo int) (*RxResult, error) {
+	return c.rxFrame(x, searchFrom, searchTo, false)
+}
+
+// rxFrame is the receive pipeline: sync, channel estimate, a hard SIGNAL
+// decode, then the DATA symbols through the hard demapper (or, when soft,
+// the max-log one) into the same depuncture, Viterbi and descramble.
+func (c *RxCodec) rxFrame(x dsp.Samples, searchFrom, searchTo int, soft bool) (*RxResult, error) {
 	ltsStart, err := c.sync(x, searchFrom, searchTo)
 	if err != nil {
 		return nil, err
@@ -197,16 +202,10 @@ func (c *RxCodec) RxFrame(x dsp.Samples, searchFrom, searchTo int) (*RxResult, e
 
 	// SIGNAL symbol.
 	sigStart := ltsStart + 2*FFTSize
-	disassembleSymbolInto(c.points[:], &c.freq, x[sigStart:sigStart+SymbolLen], &c.h, 0)
-	db := demapSymbolPointsInto(c.db[:0], c.points[:], Rate6)
-	sigCBPS := Rate6.CodedBitsPerSymbol()
-	deinterleaveInto(c.deint[:sigCBPS], db, Rate6)
-	seq, err := depunctureInto(c.vit.seq[:0], c.deint[:sigCBPS], Punct1_2, 24)
-	if err != nil {
+	c.coded = c.demapSymbols(c.coded[:0], x[sigStart:], 1, Rate6, 0, false)
+	if err := c.vit.depunctureDecode(c.sigDec[:], c.coded, Punct1_2, true); err != nil {
 		return nil, err
 	}
-	c.vit.seq = seq
-	c.vit.decode(seq, c.sigDec[:], true)
 	rate, length, err := parseSignalField(c.sigDec[:])
 	if err != nil {
 		return nil, err
@@ -219,30 +218,15 @@ func (c *RxCodec) RxFrame(x dsp.Samples, searchFrom, searchTo int) (*RxResult, e
 		return nil, fmt.Errorf("wifi: frame truncated (%d of %d data symbols)",
 			(len(x)-dataStart)/SymbolLen, nsym)
 	}
-	cbps := rate.CodedBitsPerSymbol()
-	if cap(c.coded) < nsym*cbps {
-		c.coded = make([]uint8, 0, nsym*cbps)
-	}
-	coded := c.coded[:0]
-	for s := 0; s < nsym; s++ {
-		start := dataStart + s*SymbolLen
-		disassembleSymbolInto(c.points[:], &c.freq, x[start:start+SymbolLen], &c.h, 1+s)
-		db = demapSymbolPointsInto(c.db[:0], c.points[:], rate)
-		deinterleaveInto(c.deint[:cbps], db, rate)
-		coded = append(coded, c.deint[:cbps]...)
-	}
-	c.coded = coded
+	c.coded = c.demapSymbols(c.coded[:0], x[dataStart:], nsym, rate, 1, soft)
 	nbits := nsym * rate.BitsPerSymbol()
-	seq, err = depunctureInto(c.vit.seq[:0], coded, rate.Puncture(), nbits)
-	if err != nil {
-		return nil, err
-	}
-	c.vit.seq = seq
 	if cap(c.bits) < nbits {
 		c.bits = make([]uint8, nbits)
 	}
 	bits := c.bits[:nbits]
-	c.vit.decode(seq, bits, false)
+	if err := c.vit.depunctureDecode(bits, c.coded, rate.Puncture(), false); err != nil {
+		return nil, err
+	}
 
 	// Descramble: the first 7 bits carry the seed (SERVICE bits are zero).
 	desc := Scrambler{state: RecoverSeed(bits[:7])}
@@ -258,4 +242,29 @@ func (c *RxCodec) RxFrame(x dsp.Samples, searchFrom, searchTo int) (*RxResult, e
 	bitsToBytesInto(psdu, psduBits)
 	c.res = RxResult{LTSIndex: ltsStart, Rate: rate, Length: length, PSDU: psdu}
 	return &c.res, nil
+}
+
+// demapSymbols equalizes nsym OFDM symbols at the start of x (pilot
+// polarity from firstSymIndex on), demaps each to LLRs — unit hard
+// decisions, or max-log LLRs when soft — and appends them deinterleaved to
+// dst.
+func (c *RxCodec) demapSymbols(dst []LLR, x dsp.Samples, nsym int, r Rate, firstSymIndex int, soft bool) []LLR {
+	con := r.Constellation()
+	cbps := r.CodedBitsPerSymbol()
+	dst = slices.Grow(dst, nsym*cbps)
+	for s := 0; s < nsym; s++ {
+		disassembleSymbolInto(&c.points, &c.freq, x[s*SymbolLen:(s+1)*SymbolLen], &c.h, firstSymIndex+s)
+		db := c.db[:0]
+		for _, p := range &c.points {
+			if soft {
+				db = con.DemapSoft(p, db)
+			} else {
+				db = con.Demap(p, db)
+			}
+		}
+		n := len(dst)
+		dst = dst[:n+cbps]
+		deinterleaveInto(dst[n:], db, r)
+	}
+	return dst
 }

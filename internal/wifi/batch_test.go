@@ -8,14 +8,16 @@ import (
 	"repro/internal/dsp"
 )
 
-// Differential suite for the batch fast path: the packed Viterbi decoder is
-// pinned against the retained tracebackDecode reference, and the frame
-// codecs against a composition of the exported single-shot primitives. All
-// comparisons are exact (==), not tolerance-based — the fast path must be
-// bit-identical, or the seeded experiment figures would drift.
+// Differential suite for the frame codecs and the one Viterbi kernel: the
+// packed decoder is pinned against the hard and soft reference trellises
+// (viterbi_ref_test.go), and the transmit codec against a per-symbol
+// composition over fresh buffers. All comparisons are exact (==), not
+// tolerance-based — the fast path must be bit-identical, or the seeded
+// experiment figures would drift.
 
-// legacyModulate rebuilds Modulate's output from the exported per-symbol
-// primitives, the way the pre-batch implementation composed them.
+// legacyModulate rebuilds Modulate's output symbol by symbol, each stage into
+// a freshly allocated buffer, with the DATA-field bit assembly re-derived
+// here rather than shared with TxFrame.
 func legacyModulate(t *testing.T, psdu []byte, cfg TxConfig) dsp.Samples {
 	t.Helper()
 	seed := cfg.ScramblerSeed & 0x7F
@@ -23,22 +25,27 @@ func legacyModulate(t *testing.T, psdu []byte, cfg TxConfig) dsp.Samples {
 		seed = 0x5D
 	}
 	encode := func(bits []uint8, r Rate, firstSymIndex int) dsp.Samples {
-		coded := ConvEncode(bits, r.Puncture())
+		coded := convEncode(bits, r.Puncture())
 		cbps := r.CodedBitsPerSymbol()
 		var out dsp.Samples
 		for s := 0; s < len(coded)/cbps; s++ {
-			il := Interleave(coded[s*cbps:(s+1)*cbps], r)
-			pts := MapSymbolBits(il, r)
-			out = append(out, AssembleSymbol(pts, firstSymIndex+s)...)
+			il := make([]uint8, cbps)
+			interleaveInto(il, coded[s*cbps:(s+1)*cbps], r)
+			var pts [NumDataCarriers]complex128
+			mapSymbolBitsInto(&pts, il, r)
+			var freq [FFTSize]complex128
+			sym := make(dsp.Samples, SymbolLen)
+			assembleSymbolInto(sym, &freq, &pts, firstSymIndex+s)
+			out = append(out, sym...)
 		}
 		return out
 	}
-	out := Preamble()
+	out := preambleCached.Clone()
 	out = append(out, encode(signalField(cfg.Rate, len(psdu)), Rate6, 0)...)
 	nbits := NumDataSymbols(cfg.Rate, len(psdu)) * cfg.Rate.BitsPerSymbol()
 	bits := make([]uint8, 0, nbits)
 	bits = append(bits, make([]uint8, ServiceBits)...)
-	bits = append(bits, BytesToBits(psdu)...)
+	bits = bytesToBitsInto(bits, psdu)
 	bits = append(bits, make([]uint8, nbits-len(bits))...)
 	NewScrambler(seed).Process(bits)
 	for i := 0; i < TailBits; i++ {
@@ -142,15 +149,23 @@ func TestRxFrameMatchesDemodulateAllRates(t *testing.T) {
 	}
 }
 
-// TestPackedViterbiMatchesReference pins viterbiScratch.decode against
-// tracebackDecode on the same depunctured sequences: all three puncture
-// rates, terminated and open trellises, random bit corruptions and extra
-// erasures beyond the puncturing pattern's own.
+// TestPackedViterbiMatchesReference pins viterbiScratch.decode against the
+// two reference trellises.
+//
+// Hard streams: coded bits through the production depuncture, decoded by
+// the kernel as unit LLRs and by tracebackDecode as 0/1/erasure bytes — all
+// three puncture rates, terminated and open trellises, random bit
+// corruptions, and extra erasures beyond the puncturing pattern's own.
+//
+// Soft streams: random LLR streams over the alphabets {-1, 1}, {-1, 0, 1},
+// -3..3 and the full clipped range -31..31 (the small ones force metric
+// ties), terminated and open, decoded by the kernel and by
+// softTracebackDecode.
 func TestPackedViterbiMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	punctures := []Puncture{Punct1_2, Punct2_3, Punct3_4}
 	var vs viterbiScratch
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		p := punctures[trial%len(punctures)]
 		terminated := trial%2 == 0
 		n := 12 + rng.Intn(200)
@@ -163,47 +178,76 @@ func TestPackedViterbiMatchesReference(t *testing.T) {
 				bits[i] = 0
 			}
 		}
-		coded := ConvEncode(bits, p)
+		coded := convEncode(bits, p)
 		// Corrupt some hard bits.
 		for f := 0; f < 1+rng.Intn(4); f++ {
 			coded[rng.Intn(len(coded))] ^= 1
 		}
-		seq, err := depuncture(coded, p, n)
+		seq, err := depunctureInto(nil, hardLLRs(coded), p, n)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref := hardBytes(seq)
 		// Inject extra erasures on top of the punctured positions.
-		for e := 0; e < rng.Intn(5); e++ {
-			seq[rng.Intn(len(seq))] = erasure
+		for e := 0; e < rng.Intn(8); e++ {
+			i := rng.Intn(len(seq))
+			seq[i] = 0
+			ref[i] = erasure
 		}
 
-		want := tracebackDecode(seq, n, terminated)
+		want := tracebackDecode(ref, n, terminated)
 		got := make([]uint8, n)
 		vs.decode(seq, got, terminated)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d (p=%v terminated=%v n=%d): packed decode diverges from reference",
+			t.Fatalf("hard trial %d (p=%v terminated=%v n=%d): packed decode diverges from reference",
 				trial, p, terminated, n)
+		}
+	}
+
+	alphabets := []struct{ level, step int }{{1, 2}, {1, 1}, {3, 1}, {llrClip, 1}}
+	for trial := 0; trial < 400; trial++ {
+		a := alphabets[trial%len(alphabets)] // LLRs -level, -level+step, ..., level
+		terminated := trial/len(alphabets)%2 == 0
+		n := 6 + rng.Intn(300)
+		seq := make([]LLR, 2*n)
+		for i := range seq {
+			seq[i] = LLR(rng.Intn(2*a.level/a.step+1)*a.step - a.level)
+		}
+		want := softTracebackDecode(seq, n, terminated)
+		got := make([]uint8, n)
+		vs.decode(seq, got, terminated)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("soft trial %d (alphabet %+v terminated=%v n=%d): packed decode diverges from reference",
+				trial, a, terminated, n)
 		}
 	}
 }
 
-// TestPackedViterbiOutOfAlphabetInput pins the bmLUT clamp row: values
-// outside {0, 1, erasure} must cost every branch equally, exactly like the
-// reference's "mismatches both outputs" treatment.
+// TestPackedViterbiOutOfAlphabetInput pins the kernel against
+// tracebackDecode on byte streams with out-of-alphabet values (3, 4, 5, ...).
+// Such a byte mismatches both outputs in the reference, which costs every
+// branch alike; the kernel gets a 0 LLR there, which costs every branch
+// alike too, so the decodes must agree bit for bit.
 func TestPackedViterbiOutOfAlphabetInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	var vs viterbiScratch
 	for trial := 0; trial < 50; trial++ {
+		terminated := trial%2 == 0
 		n := 24 + rng.Intn(60)
-		seq := make([]uint8, 2*n)
-		for i := range seq {
-			seq[i] = uint8(rng.Intn(6)) // includes 3, 4, 5: out of alphabet
+		ref := make([]uint8, 2*n)
+		seq := make([]LLR, 2*n)
+		for i := range ref {
+			ref[i] = uint8(rng.Intn(6))
+			if ref[i] < 2 {
+				seq[i] = hard(ref[i])
+			}
 		}
-		want := tracebackDecode(seq, n, false)
+		want := tracebackDecode(ref, n, terminated)
 		got := make([]uint8, n)
-		vs.decode(seq, got, false)
+		vs.decode(seq, got, terminated)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: clamp row diverges from reference", trial)
+			t.Fatalf("trial %d (terminated=%v n=%d): out-of-alphabet bytes diverge from reference",
+				trial, terminated, n)
 		}
 	}
 }
@@ -244,10 +288,10 @@ func TestCachedPreambleWaveformsImmutable(t *testing.T) {
 	if b[0] == 99 {
 		t.Fatal("LongTrainingSymbol returned the cached buffer, not a copy")
 	}
-	pa := Preamble()
+	pa := ShortPreamble()
 	pa[5] = 99
-	if Preamble()[5] == 99 {
-		t.Fatal("Preamble returned the cached buffer, not a copy")
+	if ShortPreamble()[5] == 99 {
+		t.Fatal("ShortPreamble returned the cached buffer, not a copy")
 	}
 	for i, v := range renderLongTrainingSymbol() {
 		if ltsCached[i] != v {
@@ -261,8 +305,9 @@ func TestCachedPreambleWaveformsImmutable(t *testing.T) {
 }
 
 // TestBatchCodecsZeroAlloc is the steady-state allocation contract of the
-// tentpole: after warm-up, a whole frame through either codec must not
-// touch the allocator.
+// frame codecs: after warm-up, a whole frame through either codec — the
+// receive side with hard and with soft DATA demapping — must not touch the
+// allocator.
 func TestBatchCodecsZeroAlloc(t *testing.T) {
 	psdu := make([]byte, 1000)
 	rng := rand.New(rand.NewSource(46))
@@ -302,6 +347,21 @@ func TestBatchCodecsZeroAlloc(t *testing.T) {
 	}
 	if !bytes.Equal(res.PSDU, psdu) {
 		t.Fatal("steady-state RxFrame corrupted the payload")
+	}
+
+	if _, err := rx.rxFrame(frame, 100, 260, true); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		res, err = rx.rxFrame(frame, 100, 260, true)
+	}); allocs != 0 {
+		t.Fatalf("soft rxFrame allocates %v times per frame in steady state", allocs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.PSDU, psdu) {
+		t.Fatal("steady-state soft rxFrame corrupted the payload")
 	}
 }
 
@@ -371,7 +431,7 @@ func BenchmarkDemodulate(b *testing.B) {
 	}
 }
 
-func viterbiBenchInput(b *testing.B) ([]uint8, int) {
+func viterbiBenchInput(b *testing.B) ([]LLR, []uint8, int) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(48))
 	n := 4000
@@ -379,16 +439,15 @@ func viterbiBenchInput(b *testing.B) ([]uint8, int) {
 	for i := range bits {
 		bits[i] = uint8(rng.Intn(2))
 	}
-	coded := ConvEncode(bits, Punct3_4)
-	seq, err := depuncture(coded, Punct3_4, n)
+	seq, err := depunctureInto(nil, hardLLRs(convEncode(bits, Punct3_4)), Punct3_4, n)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return seq, n
+	return seq, hardBytes(seq), n
 }
 
 func BenchmarkViterbiPacked(b *testing.B) {
-	seq, n := viterbiBenchInput(b)
+	seq, _, n := viterbiBenchInput(b)
 	var vs viterbiScratch
 	out := make([]uint8, n)
 	b.SetBytes(int64(n))
@@ -400,11 +459,11 @@ func BenchmarkViterbiPacked(b *testing.B) {
 }
 
 func BenchmarkViterbiReference(b *testing.B) {
-	seq, n := viterbiBenchInput(b)
+	_, ref, n := viterbiBenchInput(b)
 	b.SetBytes(int64(n))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tracebackDecode(seq, n, false)
+		tracebackDecode(ref, n, false)
 	}
 }

@@ -26,22 +26,25 @@ func fuzzWaveform(data []byte) dsp.Samples {
 	return x
 }
 
-// FuzzDemodulate feeds the OFDM receiver the kind of waveform a reactive
-// jammer leaves behind — clean frames, frames with a WGN burst over the
-// SIGNAL symbol or over the data symbols, truncated frames, arbitrary bytes
-// — and requires it to return a result or an error, never to panic. The
-// committed corpus (testdata/fuzz/FuzzDemodulate) seeds those cases at 6,
-// 24 and 54 Mbps.
+// FuzzDemodulate feeds the OFDM receiver, with hard (Demodulate) and soft
+// (DemodulateSoft) DATA demapping in turn, the kind of waveform a reactive jammer
+// leaves behind — clean frames, frames with a WGN burst over the SIGNAL
+// symbol or over the data symbols, truncated frames, arbitrary bytes — and
+// requires each to return a consistent result or an error, never to panic.
+// The committed corpus (testdata/fuzz/FuzzDemodulate) seeds those cases at
+// 6, 24 and 54 Mbps.
 func FuzzDemodulate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		x := fuzzWaveform(data)
-		res, err := Demodulate(x, 0, len(x))
-		if err != nil {
-			return
-		}
-		if len(res.PSDU) != res.Length || res.LTSIndex < 0 || res.LTSIndex >= len(x) {
-			t.Fatalf("inconsistent result: LTS %d, Length %d, %d PSDU bytes, %d samples",
-				res.LTSIndex, res.Length, len(res.PSDU), len(x))
+		for _, soft := range []bool{false, true} {
+			res, err := demodulate(x, 0, len(x), soft)
+			if err != nil {
+				continue
+			}
+			if len(res.PSDU) != res.Length || res.LTSIndex < 0 || res.LTSIndex >= len(x) {
+				t.Fatalf("inconsistent result: LTS %d, Length %d, %d PSDU bytes, %d samples",
+					res.LTSIndex, res.Length, len(res.PSDU), len(x))
+			}
 		}
 	})
 }

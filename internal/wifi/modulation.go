@@ -32,7 +32,7 @@ func (c Constellation) String() string {
 }
 
 // Normalization factors K_MOD (§17.3.5.7) giving unit average symbol power.
-var kmod = map[Constellation]float64{
+var kmod = [...]float64{
 	BPSK:  1,
 	QPSK:  1 / math.Sqrt2,
 	QAM16: 1 / math.Sqrt(10),
@@ -153,24 +153,24 @@ func slicePAM8(v float64) (uint8, uint8, uint8) {
 	}
 }
 
-// Demap hard-slices one equalized constellation point into bpsc bits,
-// appending to dst and returning it.
-func (c Constellation) Demap(p complex128, dst []uint8) []uint8 {
+// Demap hard-slices one equalized constellation point into bpsc coded-bit
+// decisions, appended to dst as unit LLRs (+1 for bit 0, −1 for bit 1).
+func (c Constellation) Demap(p complex128, dst []LLR) []LLR {
 	k := kmod[c]
 	re, im := real(p)/k, imag(p)/k
 	switch c {
 	case BPSK:
-		return append(dst, b2u(re >= 0))
+		return append(dst, hard(b2u(re >= 0)))
 	case QPSK:
-		return append(dst, b2u(re >= 0), b2u(im >= 0))
+		return append(dst, hard(b2u(re >= 0)), hard(b2u(im >= 0)))
 	case QAM16:
 		b0, b1 := slicePAM4(re)
 		b2, b3 := slicePAM4(im)
-		return append(dst, b0, b1, b2, b3)
+		return append(dst, hard(b0), hard(b1), hard(b2), hard(b3))
 	case QAM64:
 		b0, b1, b2 := slicePAM8(re)
 		b3, b4, b5 := slicePAM8(im)
-		return append(dst, b0, b1, b2, b3, b4, b5)
+		return append(dst, hard(b0), hard(b1), hard(b2), hard(b3), hard(b4), hard(b5))
 	default:
 		panic(fmt.Sprintf("wifi: unknown constellation %v", c))
 	}

@@ -3,6 +3,7 @@ package wifi
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dsp"
@@ -103,17 +104,13 @@ func TestViterbiSoftMatchesHardOnCleanInput(t *testing.T) {
 	for i := range bits[:90] {
 		bits[i] = uint8(rng.Intn(2))
 	}
-	coded := ConvEncode(bits, Punct1_2)
-	llrs := make([]LLR, len(coded))
-	for i, b := range coded {
-		if b == 1 {
-			llrs[i] = -llrClip
-		} else {
-			llrs[i] = llrClip
-		}
+	llrs := hardLLRs(convEncode(bits, Punct1_2))
+	for i := range llrs {
+		llrs[i] *= llrClip // saturated soft decisions
 	}
-	dec, err := ViterbiDecodeSoft(llrs, Punct1_2, 96, true)
-	if err != nil {
+	var vs viterbiScratch
+	dec := make([]uint8, 96)
+	if err := vs.depunctureDecode(dec, llrs, Punct1_2, true); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dec, bits) {
@@ -121,8 +118,14 @@ func TestViterbiSoftMatchesHardOnCleanInput(t *testing.T) {
 	}
 }
 
+// TestViterbiSoftShortInput pins the shared depuncture's short-input error:
+// hard and soft streams go through the same depunctureInto.
 func TestViterbiSoftShortInput(t *testing.T) {
-	if _, err := ViterbiDecodeSoft([]LLR{1, 2}, Punct1_2, 24, true); err == nil {
-		t.Error("insufficient LLRs accepted")
+	_, err := depunctureInto(nil, []LLR{1, 2}, Punct1_2, 24)
+	if err == nil {
+		t.Fatal("insufficient LLRs accepted")
+	}
+	if want := "2 coded bits, need 48"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not report %q", err, want)
 	}
 }

@@ -4,9 +4,19 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/dsp"
 )
+
+// signalField builds the 24 SIGNAL bits.
+func signalField(r Rate, length int) []uint8 {
+	var bits [24]uint8
+	signalFieldInto(&bits, r, length)
+	return bits[:]
+}
 
 func TestRateTable(t *testing.T) {
 	// Spot-check Table 78 parameters.
@@ -111,7 +121,7 @@ func TestRecoverSeedContinuesSequence(t *testing.T) {
 
 func TestConvEncodeKnownVector(t *testing.T) {
 	// All-zero input yields all-zero output.
-	out := ConvEncode(make([]uint8, 8), Punct1_2)
+	out := convEncode(make([]uint8, 8), Punct1_2)
 	for _, b := range out {
 		if b != 0 {
 			t.Fatal("zero input produced nonzero coded bit")
@@ -121,7 +131,7 @@ func TestConvEncodeKnownVector(t *testing.T) {
 		t.Fatalf("rate-1/2 coded %d bits from 8", len(out))
 	}
 	// Impulse response: first input 1 gives A=parity(1&133)=1, B=parity(1&171)=1.
-	out = ConvEncode([]uint8{1}, Punct1_2)
+	out = convEncode([]uint8{1}, Punct1_2)
 	if out[0] != 1 || out[1] != 1 {
 		t.Errorf("impulse response start = %v", out)
 	}
@@ -129,13 +139,13 @@ func TestConvEncodeKnownVector(t *testing.T) {
 
 func TestPunctureLengths(t *testing.T) {
 	in := make([]uint8, 12)
-	if n := len(ConvEncode(in, Punct1_2)); n != 24 {
+	if n := len(convEncode(in, Punct1_2)); n != 24 {
 		t.Errorf("1/2: %d", n)
 	}
-	if n := len(ConvEncode(in, Punct2_3)); n != 18 {
+	if n := len(convEncode(in, Punct2_3)); n != 18 {
 		t.Errorf("2/3: %d", n)
 	}
-	if n := len(ConvEncode(in, Punct3_4)); n != 16 {
+	if n := len(convEncode(in, Punct3_4)); n != 16 {
 		t.Errorf("3/4: %d", n)
 	}
 }
@@ -151,8 +161,8 @@ func TestViterbiRoundTripProperty(t *testing.T) {
 		for i := range bits[:nbits-TailBits] {
 			bits[i] = uint8(rng.Intn(2))
 		}
-		coded := ConvEncode(bits, punct)
-		dec, err := ViterbiDecode(coded, punct, nbits, true)
+		coded := convEncode(bits, punct)
+		dec, err := decodeHard(coded, punct, nbits, true)
 		if err != nil {
 			return false
 		}
@@ -169,13 +179,13 @@ func TestViterbiCorrectsErrors(t *testing.T) {
 	for i := range bits[:114] {
 		bits[i] = uint8(rng.Intn(2))
 	}
-	coded := ConvEncode(bits, Punct1_2)
+	coded := convEncode(bits, Punct1_2)
 	// Flip 5 well-separated coded bits; the free-distance-10 code at rate
 	// 1/2 corrects isolated errors easily.
 	for _, pos := range []int{3, 50, 99, 150, 200} {
 		coded[pos] ^= 1
 	}
-	dec, err := ViterbiDecode(coded, Punct1_2, 120, true)
+	dec, err := decodeHard(coded, Punct1_2, 120, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +195,7 @@ func TestViterbiCorrectsErrors(t *testing.T) {
 }
 
 func TestViterbiShortInput(t *testing.T) {
-	if _, err := ViterbiDecode([]uint8{1, 0}, Punct1_2, 24, true); err == nil {
+	if _, err := decodeHard([]uint8{1, 0}, Punct1_2, 24, true); err == nil {
 		t.Error("insufficient coded bits accepted")
 	}
 }
@@ -197,9 +207,11 @@ func TestInterleaverRoundTripAllRates(t *testing.T) {
 		for i := range bits {
 			bits[i] = uint8(rng.Intn(2))
 		}
-		orig := append([]uint8(nil), bits...)
-		got := Deinterleave(Interleave(bits, r), r)
-		if !bytes.Equal(got, orig) {
+		il := make([]uint8, len(bits))
+		interleaveInto(il, bits, r)
+		got := make([]LLR, len(bits))
+		deinterleaveInto(got, hardLLRs(il), r)
+		if !slices.Equal(got, hardLLRs(bits)) {
 			t.Errorf("%v: interleave round-trip failed", r)
 		}
 	}
@@ -263,7 +275,7 @@ func TestMapDemapRoundTripProperty(t *testing.T) {
 			bits[i] = (v >> i) & 1
 		}
 		got := c.Demap(c.Map(bits), nil)
-		return bytes.Equal(got, bits)
+		return slices.Equal(got, hardLLRs(bits))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -281,7 +293,7 @@ func TestPreambleStructure(t *testing.T) {
 			t.Fatalf("short preamble not 16-periodic at %d", i)
 		}
 	}
-	lp := LongPreamble()
+	lp := preambleCached[ShortPreambleLen:]
 	if len(lp) != LongPreambleLen {
 		t.Fatalf("long preamble %d samples", len(lp))
 	}
@@ -297,7 +309,7 @@ func TestPreambleStructure(t *testing.T) {
 			t.Fatalf("LTS repetitions differ at %d", i)
 		}
 	}
-	full := Preamble()
+	full := preambleCached
 	if len(full) != 320 {
 		t.Fatalf("full preamble %d samples, want 320 (16us)", len(full))
 	}
@@ -318,27 +330,39 @@ func TestPilotPolarityStartsCorrect(t *testing.T) {
 	// Standard sequence begins 1,1,1,1,-1,-1,-1,1.
 	want := []float64{1, 1, 1, 1, -1, -1, -1, 1}
 	for i, w := range want {
-		if PilotPolarity(i) != w {
-			t.Errorf("p_%d = %v, want %v", i, PilotPolarity(i), w)
+		if pilotPolarity[i] != w {
+			t.Errorf("p_%d = %v, want %v", i, pilotPolarity[i], w)
 		}
 	}
-	if PilotPolarity(127) != PilotPolarity(0) {
-		t.Error("pilot polarity must cycle at 127")
+	if len(pilotPolarity) != 127 {
+		t.Errorf("pilot polarity period %d, want 127", len(pilotPolarity))
 	}
 }
 
 func TestSymbolRoundTripFlatChannel(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	h := FlatChannel()
+	var h Channel // ideal unit channel on every occupied subcarrier
+	for k := -26; k <= 26; k++ {
+		if k != 0 {
+			h[carrierToBin(k)] = 1
+		}
+	}
+	var freq [FFTSize]complex128
+	var pts [NumDataCarriers]complex128
+	sym := make(dsp.Samples, SymbolLen)
 	for _, r := range AllRates {
 		bits := make([]uint8, r.CodedBitsPerSymbol())
 		for i := range bits {
 			bits[i] = uint8(rng.Intn(2))
 		}
-		pts := MapSymbolBits(bits, r)
-		sym := AssembleSymbol(pts, 3)
-		got := DemapSymbolPoints(DisassembleSymbol(sym, h, 3), r)
-		if !bytes.Equal(got, bits) {
+		mapSymbolBitsInto(&pts, bits, r)
+		assembleSymbolInto(sym, &freq, &pts, 3)
+		disassembleSymbolInto(&pts, &freq, sym, &h, 3)
+		var got []LLR
+		for _, p := range pts {
+			got = r.Constellation().Demap(p, got)
+		}
+		if !slices.Equal(got, hardLLRs(bits)) {
 			t.Errorf("%v: OFDM symbol round-trip failed", r)
 		}
 	}
@@ -454,7 +478,9 @@ func TestFCS(t *testing.T) {
 
 func TestBitsBytesRoundTripProperty(t *testing.T) {
 	f := func(data []byte) bool {
-		return bytes.Equal(BitsToBytes(BytesToBits(data)), data)
+		got := make([]byte, len(data))
+		bitsToBytesInto(got, bytesToBitsInto(nil, data))
+		return bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -462,7 +488,7 @@ func TestBitsBytesRoundTripProperty(t *testing.T) {
 }
 
 func TestBitsLSBFirst(t *testing.T) {
-	bits := BytesToBits([]byte{0x01, 0x80})
+	bits := bytesToBitsInto(nil, []byte{0x01, 0x80})
 	if bits[0] != 1 || bits[7] != 0 || bits[8] != 0 || bits[15] != 1 {
 		t.Errorf("bit order wrong: %v", bits)
 	}
