@@ -59,9 +59,11 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 ## bench-smoke: compile-and-run sanity for the benchmark harness — one
-## iteration of the core datapath benchmarks, no timing claims.
+## iteration of the core datapath benchmarks and of the Viterbi kernel
+## benchmarks (clean, noisy hard and noisy soft streams), no timing claims.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='CorePerSample|CoreDatapath' -benchtime=1x .
+	$(GO) test -run='^$$' -bench=Viterbi -benchtime=1x ./internal/wifi
 
 ## bench-json: write the machine-readable benchmark baseline
 ## ($(BENCH_BASELINE)). Refuses to overwrite an existing baseline or to

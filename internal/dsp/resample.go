@@ -1,6 +1,9 @@
 package dsp
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Resampler converts a sample stream between two rates by rational
 // interpolation L / decimation M with a polyphase anti-aliasing lowpass.
@@ -81,14 +84,17 @@ func (r *Resampler) Reset() {
 // output in a fresh buffer. Streaming state is preserved across calls so
 // that consecutive blocks are seamless.
 func (r *Resampler) Process(in Samples) Samples {
-	return r.ProcessInto(make(Samples, 0, len(in)*r.l/r.m+1), in)
+	return r.ProcessInto(nil, in)
 }
 
 // ProcessInto resamples in and appends the output to dst, returning the
 // extended slice: the allocation-free form of Process for callers that own
-// and reuse their output buffer (it allocates only when dst lacks the
-// capacity). Streaming state carries across calls exactly as in Process.
+// and reuse their output buffer. When dst lacks the capacity it grows once,
+// up front, by the most outputs len(in) inputs can emit, so a call
+// allocates at most once. Streaming state carries across calls exactly as
+// in Process.
 func (r *Resampler) ProcessInto(dst, in Samples) Samples {
+	dst = slices.Grow(dst, len(in)*r.l/r.m+1)
 	t := len(r.phase[0])
 	ring, w, acc := r.ring, r.w, r.acc
 	for _, x := range in {

@@ -28,6 +28,33 @@ func TestResamplerOutputLength(t *testing.T) {
 	}
 }
 
+// growAllocs is what ProcessInto's up-front growth costs in allocations:
+// one, or two under the race detector, whose instrumentation allocates the
+// make that slices.Grow's append(s, make(...)...) otherwise elides
+// (race_test.go).
+var growAllocs = 1.0
+
+// TestResamplerProcessIntoAllocs pins ProcessInto's growth: at most one
+// allocation when dst is nil or too small for the call's outputs, and none
+// when it has the room.
+func TestResamplerProcessIntoAllocs(t *testing.T) {
+	in := Tone(1000, 2e6, 20e6)
+	for _, c := range []struct{ l, m int }{{5, 4}, {125, 56}, {4, 5}} {
+		r := NewResampler(c.l, c.m, 8)
+		if allocs := testing.AllocsPerRun(20, func() { r.ProcessInto(nil, in) }); allocs > growAllocs {
+			t.Errorf("L/M=%d/%d: %v allocations into a nil dst, want at most %v", c.l, c.m, allocs, growAllocs)
+		}
+		short := make(Samples, 0, 16)
+		if allocs := testing.AllocsPerRun(20, func() { r.ProcessInto(short, in) }); allocs > growAllocs {
+			t.Errorf("L/M=%d/%d: %v allocations into a short dst, want at most %v", c.l, c.m, allocs, growAllocs)
+		}
+		big := make(Samples, 0, len(in)*c.l/c.m+1)
+		if allocs := testing.AllocsPerRun(20, func() { r.ProcessInto(big, in) }); allocs != 0 {
+			t.Errorf("L/M=%d/%d: %v allocations into a large enough dst, want 0", c.l, c.m, allocs)
+		}
+	}
+}
+
 // tonePeakBin returns the FFT bin with the most energy.
 func tonePeakBin(x Samples, n int) int {
 	buf := x[:n].Clone()

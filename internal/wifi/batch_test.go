@@ -2,7 +2,10 @@ package wifi
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dsp"
@@ -252,6 +255,245 @@ func TestPackedViterbiOutOfAlphabetInput(t *testing.T) {
 	}
 }
 
+// checkAgainstReferences decodes the depunctured stream seq with the kernel
+// and fails unless the result equals softTracebackDecode's and, when every
+// LLR is −1, 0 or +1, tracebackDecode's. It reports whether decodeClean
+// took the stream.
+func checkAgainstReferences(t *testing.T, vs *viterbiScratch, seq []LLR, terminated bool, what string) bool {
+	t.Helper()
+	n := len(seq) / 2
+	got := make([]uint8, n)
+	vs.decode(seq, got, terminated)
+	if want := softTracebackDecode(seq, n, terminated); !bytes.Equal(got, want) {
+		t.Fatalf("%s (terminated=%v n=%d): packed decode diverges from the soft reference", what, terminated, n)
+	}
+	unit := !slices.ContainsFunc(seq, func(l LLR) bool { return l < -1 || l > 1 })
+	if unit && !bytes.Equal(got, tracebackDecode(hardBytes(seq), n, terminated)) {
+		t.Fatalf("%s (terminated=%v n=%d): packed decode diverges from the hard reference", what, terminated, n)
+	}
+	return vs.decodeClean(seq, make([]uint8, n), terminated)
+}
+
+// randomBits draws n random data bits, the last six zero when terminated.
+func randomBits(rng *rand.Rand, n int, terminated bool) []uint8 {
+	bits := make([]uint8, n)
+	for i := range bits {
+		bits[i] = uint8(rng.Intn(2))
+	}
+	if terminated {
+		clear(bits[n-6:])
+	}
+	return bits
+}
+
+// codewordLLRs returns the depunctured unit-LLR stream of bits coded at
+// rate p.
+func codewordLLRs(t *testing.T, bits []uint8, p Puncture) []LLR {
+	t.Helper()
+	seq, err := depunctureInto(nil, hardLLRs(convEncode(bits, p)), p, len(bits))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq
+}
+
+// TestPackedViterbiCodewordInputs pins decode `==` against both references
+// on the inputs at the edge of the codeword fast path (decodeClean), at
+// every puncture, terminated and open:
+//   - clean codewords, in unit and in soft magnitudes 1..31, which must
+//     take the fast path;
+//   - exactly one flipped LLR;
+//   - a step whose LLRs are both erased, which must not take it;
+//   - soft zeros at kept positions;
+//   - terminated frames whose end state is nonzero, which must not take it;
+//   - the whole int8 range −128..127, as codeword magnitudes and as random
+//     streams;
+//   - the longest trellis, a 4095-byte PSDU at 6 Mb/s (32,784 steps),
+//     clean, with flips, and as random int8 noise.
+//
+// Both the fast path and the trellis must see a share of the cases.
+func TestPackedViterbiCodewordInputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	punctures := []Puncture{Punct1_2, Punct2_3, Punct3_4}
+	var vs viterbiScratch
+	var clean, total int
+	check := func(seq []LLR, terminated bool, what string) bool {
+		total++
+		c := checkAgainstReferences(t, &vs, seq, terminated, what)
+		if c {
+			clean++
+		}
+		return c
+	}
+	// int8Codeword gives each nonzero LLR of seq a magnitude drawn from the
+	// whole int8 range of its sign: 1..127 for bit 0, 1..128 for bit 1.
+	int8Codeword := func(seq []LLR) []LLR {
+		out := slices.Clone(seq)
+		for i, l := range out {
+			if l > 0 {
+				out[i] = LLR(1 + rng.Intn(127))
+			} else if l < 0 {
+				out[i] = LLR(-1 - rng.Intn(128))
+			}
+		}
+		return out
+	}
+	int8Noise := func(n int) []LLR {
+		out := make([]LLR, 2*n)
+		for i := range out {
+			out[i] = LLR(rng.Intn(256) - 128)
+		}
+		return out
+	}
+
+	for trial := 0; trial < 240; trial++ {
+		p := punctures[trial%len(punctures)]
+		terminated := trial/len(punctures)%2 == 0
+		n := 7 + rng.Intn(200)
+		what := fmt.Sprintf("trial %d p=%v", trial, p)
+		seq := codewordLLRs(t, randomBits(rng, n, terminated), p)
+
+		if !check(seq, terminated, what+" clean") {
+			t.Fatalf("%s: a clean codeword missed the fast path", what)
+		}
+		soft := slices.Clone(seq)
+		for i := range soft {
+			soft[i] *= LLR(1 + rng.Intn(llrClip))
+		}
+		if !check(soft, terminated, what+" soft clean") {
+			t.Fatalf("%s: a soft clean codeword missed the fast path", what)
+		}
+		if !check(int8Codeword(seq), terminated, what+" int8 clean") {
+			t.Fatalf("%s: an int8 codeword missed the fast path", what)
+		}
+
+		flip := slices.Clone(seq)
+		for {
+			i := rng.Intn(len(flip))
+			if flip[i] != 0 {
+				flip[i] = -flip[i]
+				break
+			}
+		}
+		check(flip, terminated, what+" one flip")
+		softFlip := slices.Clone(soft)
+		for i, l := range flip {
+			if l != seq[i] {
+				softFlip[i] = -softFlip[i]
+			}
+		}
+		check(softFlip, terminated, what+" soft one flip")
+
+		erased := slices.Clone(seq)
+		k := rng.Intn(n)
+		erased[2*k], erased[2*k+1] = 0, 0
+		if check(erased, terminated, what+" erased step") {
+			t.Fatalf("%s: a step with no nonzero LLR took the fast path", what)
+		}
+
+		zeros := slices.Clone(soft)
+		for i := range zeros {
+			if zeros[i] != 0 && rng.Intn(4) == 0 {
+				zeros[i] = 0
+			}
+		}
+		check(zeros, terminated, what+" soft zeros")
+
+		bits := randomBits(rng, n, false)
+		bits[n-1] = 1 // the encoder ends in an odd state
+		odd := codewordLLRs(t, bits, p)
+		if check(odd, true, what+" nonzero end state") {
+			t.Fatalf("%s: a terminated frame ending in a nonzero state took the fast path", what)
+		}
+		check(odd, false, what+" nonzero end state, open")
+
+		check(int8Noise(n), terminated, what+" int8 noise")
+	}
+
+	// The longest trellis the SIGNAL field's 12-bit LENGTH can describe.
+	n := NumDataSymbols(Rate6, 4095) * Rate6.BitsPerSymbol()
+	if n != 32784 {
+		t.Fatalf("4095 bytes at 6 Mb/s: %d steps, want 32784", n)
+	}
+	seq := codewordLLRs(t, randomBits(rng, n, false), Punct1_2)
+	if !check(seq, false, "longest frame clean") {
+		t.Fatal("the longest clean frame missed the fast path")
+	}
+	if !check(int8Codeword(seq), false, "longest frame int8 clean") {
+		t.Fatal("the longest int8 codeword missed the fast path")
+	}
+	for i := range seq {
+		if rng.Intn(8) == 0 {
+			seq[i] = -seq[i]
+		}
+	}
+	check(seq, false, "longest frame flipped")
+	check(int8Noise(n), false, "longest frame int8 noise")
+
+	t.Logf("%d of %d cases took the fast path", clean, total)
+	if clean == 0 || clean == total {
+		t.Fatalf("%d of %d cases took the fast path: both paths must be exercised", clean, total)
+	}
+}
+
+// TestRxFrameJammedViterbiMatchesReference pins decode on the traffic the
+// victim link decodes: frames at 6, 24 and 54 Mb/s overlaid with a WGN burst
+// at several offsets (over the SIGNAL symbol, early, mid and late DATA) and
+// SIRs, received with hard and with soft demapping. The exact depunctured
+// stream the codec decoded last is decoded again, open and terminated, and
+// checked against both references; both the fast path and the trellis must
+// see a share of them.
+func TestRxFrameJammedViterbiMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	const burstLen = 400 // 20 µs at 20 MSPS: five OFDM symbols
+	var rx RxCodec
+	var vs viterbiScratch
+	var clean, total int
+	for _, r := range []Rate{Rate6, Rate24, Rate54} {
+		psdu := make([]byte, 300)
+		rng.Read(psdu)
+		frame, err := Modulate(psdu, TxConfig{Rate: r, ScramblerSeed: 0x5D})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var power float64
+		for _, v := range frame {
+			power += real(v)*real(v) + imag(v)*imag(v)
+		}
+		power /= float64(len(frame))
+		sigStart := 320 // 16 µs of preambles
+		offsets := []int{sigStart, sigStart + SymbolLen, len(frame) / 2, len(frame) - burstLen/2}
+		for _, sirDB := range []float64{0, 6, 12, 20, 30} {
+			sigma := math.Sqrt(power / math.Pow(10, sirDB/10) / 2)
+			for _, at := range offsets {
+				x := frame.Clone()
+				for i := at; i < min(at+burstLen, len(x)); i++ {
+					x[i] += complex(sigma*rng.NormFloat64(), sigma*rng.NormFloat64())
+				}
+				for _, soft := range []bool{false, true} {
+					what := fmt.Sprintf("%v SIR %g dB burst at %d soft=%v", r, sirDB, at, soft)
+					rx.vit.seq = rx.vit.seq[:0]
+					rx.rxFrame(x, 100, 260, soft) // errors are fine: the stream is what is checked
+					if len(rx.vit.seq) == 0 {
+						continue
+					}
+					seq := slices.Clone(rx.vit.seq)
+					for _, terminated := range []bool{false, true} {
+						total++
+						if checkAgainstReferences(t, &vs, seq, terminated, what) {
+							clean++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d jammed-frame decodes took the fast path", clean, total)
+	if clean == 0 || clean == total {
+		t.Fatalf("%d of %d jammed-frame decodes took the fast path: both paths must be exercised", clean, total)
+	}
+}
+
 func TestInterleaveTablesMatchClosedForm(t *testing.T) {
 	for r, info := range rateTable {
 		perm := interleavePerm[r]
@@ -431,7 +673,10 @@ func BenchmarkDemodulate(b *testing.B) {
 	}
 }
 
-func viterbiBenchInput(b *testing.B) ([]LLR, []uint8, int) {
+// viterbiBenchInput is a seeded random 4000-bit message coded at rate 3/4
+// and depunctured: the coded bits as unit LLRs, each passed to noise, and
+// tracebackDecode's byte form of the clean stream.
+func viterbiBenchInput(b *testing.B, noise func(rng *rand.Rand, l LLR) LLR) ([]LLR, []uint8, int) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(48))
 	n := 4000
@@ -439,15 +684,21 @@ func viterbiBenchInput(b *testing.B) ([]LLR, []uint8, int) {
 	for i := range bits {
 		bits[i] = uint8(rng.Intn(2))
 	}
-	seq, err := depunctureInto(nil, hardLLRs(convEncode(bits, Punct3_4)), Punct3_4, n)
+	coded := hardLLRs(convEncode(bits, Punct3_4))
+	seq, err := depunctureInto(nil, coded, Punct3_4, n)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return seq, hardBytes(seq), n
+	ref := hardBytes(seq)
+	for i, l := range coded {
+		coded[i] = noise(rng, l)
+	}
+	seq, _ = depunctureInto(seq[:0], coded, Punct3_4, n)
+	return seq, ref, n
 }
 
-func BenchmarkViterbiPacked(b *testing.B) {
-	seq, _, n := viterbiBenchInput(b)
+func benchmarkViterbiPacked(b *testing.B, noise func(rng *rand.Rand, l LLR) LLR) {
+	seq, _, n := viterbiBenchInput(b, noise)
 	var vs viterbiScratch
 	out := make([]uint8, n)
 	b.SetBytes(int64(n))
@@ -458,8 +709,31 @@ func BenchmarkViterbiPacked(b *testing.B) {
 	}
 }
 
+// BenchmarkViterbiPacked decodes a clean codeword: the fast path.
+func BenchmarkViterbiPacked(b *testing.B) {
+	benchmarkViterbiPacked(b, func(_ *rand.Rand, l LLR) LLR { return l })
+}
+
+// BenchmarkViterbiPackedNoisyHard flips one in eight hard coded bits, so
+// every decode runs the trellis.
+func BenchmarkViterbiPackedNoisyHard(b *testing.B) {
+	benchmarkViterbiPacked(b, func(rng *rand.Rand, l LLR) LLR {
+		if rng.Intn(8) == 0 {
+			return -l
+		}
+		return l
+	})
+}
+
+// BenchmarkViterbiPackedSoft sends each coded bit as an LLR of ±8 plus
+// uniform noise in −12..12, so about one in six has the wrong sign and the
+// add-compare-selects see no predictable pattern.
+func BenchmarkViterbiPackedSoft(b *testing.B) {
+	benchmarkViterbiPacked(b, func(rng *rand.Rand, l LLR) LLR { return 8*l + LLR(rng.Intn(25)-12) })
+}
+
 func BenchmarkViterbiReference(b *testing.B) {
-	_, ref, n := viterbiBenchInput(b)
+	_, ref, n := viterbiBenchInput(b, func(_ *rand.Rand, l LLR) LLR { return l })
 	b.SetBytes(int64(n))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -20,6 +20,13 @@ package wifi
 // the order of an ascending relaxation with strict-less replacement; the
 // differential tests pin the kernel `==` against both references (hard and
 // soft) kept in viterbi_ref_test.go.
+//
+// Codeword fast path: a stream whose nonzero LLRs all agree with one
+// codeword from state 0 (ending in state 0 when terminated) decodes to that
+// codeword in one pass without the trellis. It costs 0, and any other path
+// costs at least 1 at the step where it first leaves it, so it is the
+// trellis's unique minimum and the ACS would return it whatever the
+// tie-break (DESIGN.md §12).
 
 // LLR is a clipped integer log-likelihood ratio: positive favors bit 0, and
 // 0 is an erasure.
@@ -36,9 +43,12 @@ type viterbiScratch struct {
 	seq       []LLR            // depunctured coded stream (2 per data bit)
 }
 
-// vitInf is the unreachable-state metric. Branch costs add at most 2·128
-// per step, so reachable metrics stay far below it for any frame the 12-bit
-// LENGTH field can describe, and int32 cannot overflow.
+// vitInf is the unreachable-state metric. A branch costs at most 2·128 (two
+// LLRs of −128), so after t steps every path metric lies in
+// [0, vitInf + 256·t]. The select computes b − a of two such sums; that
+// difference cannot wrap while vitInf + 256·(t+1) < 2³¹, i.e. for any
+// trellis shorter than (2³¹ − 2²⁹)/256 ≈ 6.3M steps. The longest frame the
+// 12-bit LENGTH field can describe (4095 bytes at 6 Mb/s) is 32,784 steps.
 const vitInf = int32(1) << 29
 
 // depunctureDecode depunctures coded at rate p and decodes len(out) data
@@ -55,11 +65,14 @@ func (v *viterbiScratch) depunctureDecode(out []uint8, coded []LLR, p Puncture, 
 	return nil
 }
 
-// decode runs the packed add-compare-select recursion over the depunctured
-// LLR stream seq (len(seq) must be 2*len(out)) and writes the decoded data
-// bits to out. Allocation free once the scratch has grown to the frame's
-// step count.
+// decode writes the decoded data bits of the depunctured LLR stream seq
+// (len(seq) must be 2*len(out)) to out: by decodeClean when seq is already
+// a codeword, else by the packed add-compare-select recursion. Allocation
+// free once the scratch has grown to the frame's step count.
 func (v *viterbiScratch) decode(seq []LLR, out []uint8, terminated bool) {
+	if v.decodeClean(seq, out, terminated) {
+		return
+	}
 	n := len(out)
 	if cap(v.decisions) < n {
 		v.decisions = make([]uint64, n)
@@ -71,38 +84,41 @@ func (v *viterbiScratch) decode(seq []LLR, out []uint8, terminated bool) {
 		m[s] = vitInf
 	}
 
-	for t := 0; t < n; t++ {
-		lA, lB := int32(seq[2*t]), int32(seq[2*t+1])
+	seq = seq[:2*n] // a short stream panics here, not mid-trellis
+	for steps := decisions; len(steps) > 0 && len(seq) >= 2; steps, seq = steps[1:], seq[2:] {
+		lA, lB := int32(seq[0]), int32(seq[1])
 		a1, a0 := max(lA, 0), max(-lA, 0)
 		b1, b0 := max(lB, 0), max(-lB, 0)
 		cost := [4]int32{a0 + b0, a0 + b1, a1 + b0, a1 + b1}
+		// Complementing both coded bits swaps a0↔a1 and b0↔b1, so
+		// cost[p] + cost[p^3] is the same for every p.
+		tot := a0 + a1 + b0 + b1
 		var dec uint64
 		// Butterfly over predecessor pairs: states k and k+32 are the two
-		// predecessors of both next-states 2k and 2k+1, so their metrics and
-		// branch pairs load once and serve two compare-selects. The low
-		// predecessor wins ties.
+		// predecessors of both next-states 2k and 2k+1. Both generators tap
+		// the input bit and the oldest register bit, so flipping either
+		// complements both coded outputs: with p = branchPair[k][0], k
+		// reaches 2k at c = cost[p] and 2k+1 at c2 = cost[p^3], and k+32 the
+		// other way round. Each select is branch free: s is all ones exactly
+		// when the high predecessor is strictly cheaper, so the low one wins
+		// ties, and its low bit is the decision.
 		for k := 0; k < numStates/2; k++ {
 			m0, m1 := m[k], m[k+numStates/2]
-			bp0, bp1 := branchPair[k], branchPair[k+numStates/2]
-			ns := 2 * k
-			a := m0 + cost[bp0[0]]
-			b := m1 + cost[bp1[0]]
-			if b < a {
-				nx[ns] = b
-				dec |= 1 << uint(ns)
-			} else {
-				nx[ns] = a
-			}
-			a = m0 + cost[bp0[1]]
-			b = m1 + cost[bp1[1]]
-			if b < a {
-				nx[ns+1] = b
-				dec |= 1 << uint(ns+1)
-			} else {
-				nx[ns+1] = a
-			}
+			c := cost[branchPair[k][0]&3]
+			c2 := tot - c
+			a, b := m0+c, m1+c2
+			d := b - a
+			s := d >> 31
+			nx[2*k] = a + d&s
+			a, b = m0+c2, m1+c
+			d2 := b - a
+			s2 := d2 >> 31
+			nx[2*k+1] = a + d2&s2
+			// Decisions enter at the top two bits and shift down, so after
+			// the 32nd butterfly the pair of 2k sits at bits 2k and 2k+1.
+			dec = dec>>2 | uint64(uint32(s&1|s2&2))<<62
 		}
-		decisions[t] = dec
+		steps[0] = dec
 		m, nx = nx, m
 	}
 
@@ -119,4 +135,37 @@ func (v *viterbiScratch) decode(seq []LLR, out []uint8, terminated bool) {
 		out[t] = uint8(state & 1)
 		state = state>>1 | int(decisions[t]>>uint(state)&1)<<5
 	}
+}
+
+// decodeClean decodes seq in one pass without the trellis when its nonzero
+// LLRs are a codeword from state 0 (ending in state 0 when terminated),
+// writes it to out and reports true; otherwise it reports false, leaving
+// out partly written. Both generators tap the current input bit, so input 1
+// complements both coded bits of input 0: the first nonzero LLR of a step
+// fixes the input, and the other, when nonzero, must agree with it. A step
+// with no nonzero LLR is left to the trellis.
+func (v *viterbiScratch) decodeClean(seq []LLR, out []uint8, terminated bool) bool {
+	seq = seq[:2*len(out)]
+	state := 0
+	for o := out; len(o) > 0 && len(seq) >= 2; o, seq = o[1:], seq[2:] {
+		lA, lB := seq[0], seq[1]
+		// sA, sB: the hard decisions (1 for a negative LLR).
+		sA, sB := uint8(lA)>>7, uint8(lB)>>7
+		p := branchPair[state&(numStates-1)][0] // coded pair of input 0
+		var in uint8
+		switch {
+		case lA != 0:
+			in = p>>1 ^ sA
+			if lB != 0 && p&1^in != sB {
+				return false
+			}
+		case lB != 0:
+			in = p&1 ^ sB
+		default:
+			return false
+		}
+		o[0] = in
+		state = state<<1 | int(in) // the low six bits are the encoder state
+	}
+	return !terminated || state&(numStates-1) == 0
 }

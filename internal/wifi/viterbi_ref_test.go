@@ -83,7 +83,7 @@ func softTracebackDecode(seq []LLR, numDataBits int, terminated bool) []uint8 {
 			return 0
 		}
 		if llr < 0 {
-			return int32(-llr)
+			return -int32(llr) // widen first: -LLR(-128) wraps to -128
 		}
 		return 0
 	}

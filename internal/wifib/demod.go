@@ -300,6 +300,11 @@ func Demodulate(x dsp.Samples, searchFrom, searchTo int) (*RxResult, error) {
 		service |= hdr[8+i] << i
 	}
 	psduBytes := psduBytesFromLength(rate, lengthUS, service&0x80 != 0)
+	if psduBytes < 0 {
+		// LENGTH 0 with the 11 Mbps length-extension bit: a header only
+		// corruption (or a jammer) can produce.
+		return nil, fmt.Errorf("wifib: LENGTH %d µs with the length-extension bit set", lengthUS)
+	}
 
 	// The CCK odd-symbol rotation is counted from the frame start, and the
 	// first PSDU symbol is always TX symbol 192 (144 preamble + 48 header
